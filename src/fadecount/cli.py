@@ -77,8 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="calibrate parameters to this MSE first")
     p_audit.add_argument("--d-max", type=int, required=True)
     p_audit.add_argument("--t-max", type=int,
-                         help="position-search horizon and calibration "
-                              "length (default d_max+1)")
+                         help="stream length: inputs enter at positions "
+                              "1..t_max; also the calibration length "
+                              "(default d_max+1)")
     p_audit.add_argument("--output", required=True)
 
     p_cal = sub.add_parser("calibrate", help="print parameters hitting an MSE")
@@ -192,6 +193,9 @@ def cmd_run(args, parser) -> int:
 def cmd_audit(args, parser) -> int:
     if args.d_max < 0:
         parser.error("--d-max must be nonnegative")
+    if args.t_max is not None and args.t_max < 1:
+        parser.exit(2, f"{parser.prog} audit: error: --t-max must be >= 1, "
+                       f"got {args.t_max}\n")
     horizon = args.t_max if args.t_max is not None else args.d_max + 1
     d_values = np.arange(args.d_max + 1)
     if args.mechanism == "baseline":

@@ -87,39 +87,18 @@ def decompose(a: int, b: int) -> list[DyadicInterval]:
     return out
 
 
-def decomposition_level_counts(length: int, positions: np.ndarray,
-                               num_levels: int) -> np.ndarray:
-    """Per-level interval counts of decompose(j, j+length-1) for many j at once.
-
-    Returns an array of shape (num_levels, len(positions)) whose [l, i] entry
-    is how many level-l intervals the decomposition starting at positions[i]
-    uses (0, 1, or 2).
-
-    This is the closed form of the two-pointer walk: at level l the walk's
-    left cursor sits at ceil(j / 2^l) and the right cursor at
-    floor((j+length) / 2^l) - 1; a left interval is emitted iff the left
-    cursor is odd, a right interval iff the right cursor is even, in both
-    cases only while left <= right.
-    """
-    j = positions.astype(np.int64)
-    counts = np.zeros((num_levels, len(j)), dtype=np.int64)
-    for lvl in range(num_levels):
-        ca = (j + ((1 << lvl) - 1)) >> lvl
-        cb = ((j + length) >> lvl) - 1
-        active = ca <= cb
-        counts[lvl] = ((active & ((ca & 1) == 1)).astype(np.int64)
-                       + (active & ((cb & 1) == 0)))
-    return counts
-
-
 def decomposition_costs(length: int, start: int, stop: int,
                         weights) -> np.ndarray:
     """Weighted decomposition cost for every start position in [start, stop).
 
     Entry i is sum over intervals of decompose(start+i, start+i+length-1)
-    of weights[level].  Same closed form as decomposition_level_counts but
-    accumulated level by level, so memory stays one float row regardless of
-    how many levels or positions are involved.
+    of weights[level].  This is the closed form of the two-pointer walk: at
+    level l the walk's left cursor sits at ceil(j / 2^l) and the right
+    cursor at floor((j+length) / 2^l) - 1; a left interval is emitted iff
+    the left cursor is odd, a right interval iff the right cursor is even,
+    in both cases only while left <= right.  Costs are accumulated level by
+    level, so memory stays one float row however many levels or positions
+    are involved.
     """
     j = np.arange(start, stop, dtype=np.int64)
     cost = np.zeros(len(j))

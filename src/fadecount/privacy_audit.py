@@ -5,7 +5,7 @@ stream.  Three curves matter for the expiration counter:
 
 * ``empirical_loss_expiration`` — the exact worst case over stream
   positions: the cost of the dyadic decomposition D_[j, j+d-B] maximized
-  over j (dyadic structure repeats, so a bounded search is exact);
+  over j, in closed form by a DP over the bits of j (O(log d) per point);
 * ``exact_loss_bound`` — the tight per-d level-sum bound (two intervals per
   level);
 * ``closed_form_loss_bound`` / ``published_loss_bound`` — the closed-form
@@ -28,8 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import (DyadicInterval, decompose, decomposition_costs,
-                     floor_log2)
+from .dyadic import DyadicInterval, decompose, floor_log2
+# bench/spans.py traces decomposition_costs under this module's name
+from .dyadic import decomposition_costs  # noqa: F401
 from .mechanisms import (DOMAIN_INTERVAL, BaselineParams, ExpirationCounter,
                          MechanismParams, RecordingNoise, ReplayNoise,
                          SeededNoise)
@@ -122,53 +123,151 @@ def published_loss_bound(d: int, params: MechanismParams) -> float:
     return max(closed_form_loss_bound(d, params), exact)
 
 
-def worst_position_search_bound(d: int, params: MechanismParams) -> int:
-    """Positions to search for the per-d worst case: 4 * 2^floor(log2 n).
+# ---------------------------------------------------------------------------
+# worst-case losses: one exact kernel per mechanism, over a whole d grid
 
-    Decomposition structure is translation-periodic with period
-    2^(floor(log2 n)+1) in the start position, so two full periods cover
-    every pattern; validated against brute force in the test suite.
+# 2^l for every level an int64 range length can have
+_POWERS_OF_TWO = np.int64(1) << np.arange(63, dtype=np.int64)
+# grid points (expiration) or (d, s) cells (baseline) per numpy pass; keeps
+# the temporaries of a long grid to about a megabyte
+_BLOCK = 1 << 14
+
+
+def _worst_decomposition_costs(n: np.ndarray, t_max: int,
+                               level_exponent: float) -> np.ndarray:
+    """Largest weighted cost of decompose(j, j+n-1) over j in [1, t_max].
+
+    The weight of a level-l interval is (1+l)^(level_exponent-1).  Write
+    u = j-1 and m = n+1.  The level-l part of the decomposition has a left
+    interval iff bit l of u is 0 and a right interval iff bit l of u+m is 1,
+    both only while (m >> l) + carry_l >= 2, where carry_l is the carry into
+    bit l of u+m.  Only the low L = floor(log2 n)+1 bits of u matter, so the
+    maximum over positions is a DP over those bits, O(L) per n.  Its four
+    states are the carry and whether the low bits of u are at most those of
+    cap = min(t_max, 2^L) - 1.  Past its own L, an n gains nothing on the
+    paths that still fit, so one loop over levels serves the whole grid.
+    Costs are added in level order, as in dyadic.decomposition_costs, and
+    float addition is monotone, so keeping the best partial cost per state
+    gives the same float as a search over every position.
     """
-    n = d - params.delay + 1
-    return 4 << floor_log2(n)
+    levels = np.searchsorted(_POWERS_OF_TWO, n, side="right")
+    m = n + 1
+    # t_max may exceed int64; only its low `levels` bits can matter
+    cap = np.minimum(_POWERS_OF_TWO[levels], min(t_max, 1 << 62)) - 1
+    columns = np.arange(n.size)
+    # best[2*carry + fits]: best cost so far per state, -inf if unreachable;
+    # before any bit the carry is 0 and the (empty) low bits fit
+    best = np.full((4, n.size), -np.inf)
+    best[1] = 0.0
+    for lvl in range(int(levels.max())):
+        weight = (1.0 + lvl) ** (level_exponent - 1.0)
+        m_high = m >> lvl
+        m_bit = m_high & 1
+        cap_bit = (cap >> lvl) & 1
+        nxt = np.full(4 * n.size, -np.inf)
+        for carry in (0, 1):
+            active = m_high + carry >= 2
+            for u_bit in (0, 1):
+                total = u_bit + m_bit + carry
+                gain = weight * (active * ((u_bit == 0) + (total & 1)))
+                for fits in (0, 1):
+                    new_fits = np.where(u_bit == cap_bit, fits,
+                                        u_bit < cap_bit)
+                    state = 2 * (total >> 1) + new_fits
+                    np.maximum.at(nxt, state * n.size + columns,
+                                  best[2 * carry + fits] + gain)
+        best = nxt.reshape(best.shape)
+    return np.maximum(best[1], best[3])
+
+
+def _expiration_losses(params: MechanismParams, d_values,
+                       t_max: int) -> np.ndarray:
+    """Exact worst-case loss of the expiration counter at every d of a grid.
+
+    eps times the largest decomposition cost of a length-(d-delay+1) range
+    entered at a position j <= t_max; 0 in the delay regime d < delay.
+    """
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    d = np.asarray(d_values, dtype=np.int64)
+    loss = np.zeros(d.shape)
+    for lo in range(0, d.size, _BLOCK):
+        block = d[lo:lo + _BLOCK]
+        live = block >= params.delay
+        if live.any():
+            loss[lo:lo + _BLOCK][live] = params.epsilon * \
+                _worst_decomposition_costs(block[live] - params.delay + 1,
+                                           t_max, params.level_exponent)
+    return loss
 
 
 def empirical_loss_expiration(d: int, params: MechanismParams,
                               t_max: int) -> float:
     """Exact worst-case loss of the expiration counter at elapsed time d.
 
-    max over entry positions j <= min(t_max, search bound) of
+    max over entry positions j <= t_max of
     eps * sum_{I in D_[j, j+d-delay]} (1+level(I))^(exponent-1);
-    0 in the delay regime.
+    0 in the delay regime.  Costs O(log d); see _worst_decomposition_costs.
     """
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
-    if d < params.delay:
-        return 0.0
-    n = d - params.delay + 1
-    jmax = min(t_max, worst_position_search_bound(d, params))
-    lam = params.level_exponent
-    levels = floor_log2(n) + 1
-    weights = [(1.0 + lvl) ** (lam - 1.0) for lvl in range(levels)]
-    best = 0.0
-    chunk = 1 << 20
-    for lo in range(1, jmax + 1, chunk):
-        hi = min(jmax + 1, lo + chunk)
-        best = max(best, float(decomposition_costs(n, lo, hi, weights).max()))
-    return params.epsilon * best
+    return float(_expiration_losses(params, [d], t_max)[0])
 
 
 def empirical_loss_curve(params: MechanismParams, d_values,
                          t_max: int) -> PrivacyLossCurve:
+    """empirical_loss_expiration at every d of a grid, in one pass."""
     d_values = np.asarray(d_values, dtype=np.int64)
-    loss = np.array([empirical_loss_expiration(int(d), params, t_max)
-                     for d in d_values])
-    return PrivacyLossCurve(d_values, loss)
+    return PrivacyLossCurve(d_values,
+                            _expiration_losses(params, d_values, t_max))
 
 
-def _node_end(s: int, level: int) -> int:
-    # end position of the level-`level` tree node containing in-round position s
-    return -(-s >> level) << level  # ceil(s / 2^l) * 2^l
+def _baseline_tree_maxima(params: BaselineParams, d_values, horizon: int):
+    """The two candidate worst cases of the baseline at every d of a grid.
+
+    An input at round position s <= min(window, horizon) is charged for
+    every tree node containing s that ends inside the window by time s+d,
+    and for past = (s+d-1) // window later rounds.  Over one round, past is
+    p = d // window up to position split = window - d % window and p+1
+    after it.  At fixed past the loss grows with the tree count, so the
+    worst case is the largest tree count on either side:
+
+    * after split, s+d > window, so every node ending inside the window
+      counts; node ends only grow with s, so position split+1 is the worst;
+    * up to split, the counts are those of min(d, window-1) (they no longer
+      change once d >= window-1), counted in integer blocks of (d, s) cells
+      and maximized by a running max over s.
+
+    Returns (p, tree_p, tree_next) per d; tree_next is -1 where no
+    position has past p+1.
+    """
+    d = np.asarray(d_values, dtype=np.int64)
+    if np.any(d < 0):
+        raise ValueError(f"d must be nonnegative, got {int(d.min())}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    w = params.window
+    width = min(w, horizon)
+    s = np.arange(1, width + 1, dtype=np.int64)
+    ends = np.array([-(-s >> lvl) << lvl for lvl in range(params.tree_depth)])
+    split = w - d % w
+    inside = (ends <= w).sum(axis=0)
+    tree_next = np.where(split < width,
+                         inside[np.minimum(split, width - 1)], -1)
+    # a node counts from d = end - s on; one ending past the window never does
+    slack = np.where(ends <= w, ends - s, np.iinfo(np.int64).max)
+    rows, row_of = np.unique(np.minimum(d, w - 1), return_inverse=True)
+    last = np.minimum(split, width) - 1
+    tree_p = np.zeros(d.shape, dtype=np.int64)
+    step = max(1, _BLOCK // width)
+    for lo in range(0, rows.size, step):
+        tree = (slack[:, None, :] <= rows[lo:lo + step, None]).sum(axis=0)
+        head = np.maximum.accumulate(tree, axis=1)
+        here = (row_of >= lo) & (row_of < lo + step)
+        tree_p[here] = head[row_of[here] - lo, last[here]]
+    return d // w, tree_p, tree_next
+
+
+def _baseline_loss(params: BaselineParams, tree, past):
+    return params.eps_cur * tree / params.tree_depth + params.eps_past * past
 
 
 def empirical_loss_baseline(d: int, params: BaselineParams, horizon: int):
@@ -180,35 +279,26 @@ def empirical_loss_baseline(d: int, params: BaselineParams, horizon: int):
     past prefix has been released by then.  Both counts depend only on s,
     so the maximization runs over one window of positions.
 
-    Generic over the numeric type of eps_cur/eps_past: pass Fractions to get
-    exact values (period-W increments of the linear regime are then exact).
+    Generic over the numeric type of eps_cur/eps_past, in which the two
+    candidate worst cases are evaluated: pass Fractions to get exact values
+    (period-W increments of the linear regime are then exact).
     """
-    if d < 0:
-        raise ValueError(f"d must be nonnegative, got {d}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    w = params.window
-    k = params.tree_depth
-    best = None
-    for s in range(1, min(w, horizon) + 1):
-        tree = 0
-        for lvl in range(k):
-            end = _node_end(s, lvl)
-            if end <= w and end <= s + d:
-                tree += 1
-        past = (s + d - 1) // w
-        value = params.eps_cur * tree / k + params.eps_past * past
-        if best is None or value > best:
-            best = value
+    past, tree_p, tree_next = (
+        int(v[0]) for v in _baseline_tree_maxima(params, [d], horizon))
+    best = _baseline_loss(params, tree_p, past)
+    if tree_next >= 0:
+        best = max(best, _baseline_loss(params, tree_next, past + 1))
     return best
 
 
 def baseline_loss_curve(params: BaselineParams, d_values,
                         horizon: int) -> PrivacyLossCurve:
+    """empirical_loss_baseline at every d of a grid, in one pass."""
     d_values = np.asarray(d_values, dtype=np.int64)
-    loss = np.array([float(empirical_loss_baseline(int(d), params, horizon))
-                     for d in d_values])
-    return PrivacyLossCurve(d_values, loss)
+    past, tree_p, tree_next = _baseline_tree_maxima(params, d_values, horizon)
+    loss = _baseline_loss(params, tree_p, past)
+    later = np.maximum(loss, _baseline_loss(params, tree_next, past + 1))
+    return PrivacyLossCurve(d_values, np.where(tree_next >= 0, later, loss))
 
 
 # ---------------------------------------------------------------------------

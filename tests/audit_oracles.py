@@ -1,0 +1,89 @@
+"""Brute-force oracles for the audit's closed forms.
+
+The package computes worst-case losses with exact kernels (a carry DP over
+the bits of the entry position for the expiration counter, per-side tree
+maxima for the baseline).  The searches those kernels replaced live here,
+unchanged, so the tests can hold the kernels to them.
+"""
+
+import numpy as np
+
+from fadecount.dyadic import decomposition_costs, floor_log2
+
+
+def decomposition_level_counts(length: int, positions: np.ndarray,
+                               num_levels: int) -> np.ndarray:
+    """Per-level interval counts of decompose(j, j+length-1) for many j at once.
+
+    Returns an array of shape (num_levels, len(positions)) whose [l, i] entry
+    is how many level-l intervals the decomposition starting at positions[i]
+    uses (0, 1, or 2), by the same two-pointer closed form as
+    dyadic.decomposition_costs.
+    """
+    j = positions.astype(np.int64)
+    counts = np.zeros((num_levels, len(j)), dtype=np.int64)
+    for lvl in range(num_levels):
+        ca = (j + ((1 << lvl) - 1)) >> lvl
+        cb = ((j + length) >> lvl) - 1
+        active = ca <= cb
+        counts[lvl] = ((active & ((ca & 1) == 1)).astype(np.int64)
+                       + (active & ((cb & 1) == 0)))
+    return counts
+
+
+def position_search_loss(d: int, params, positions: int) -> float:
+    """eps * the largest decomposition cost over entry positions 1..positions.
+
+    The cost of entry position j is the weighted cost of
+    decompose(j, j+d-delay); 0 in the delay regime d < delay.
+    """
+    if d < params.delay:
+        return 0.0
+    n = d - params.delay + 1
+    lam = params.level_exponent
+    weights = [(1.0 + lvl) ** (lam - 1.0) for lvl in range(floor_log2(n) + 1)]
+    best = 0.0
+    chunk = 1 << 20
+    for lo in range(1, positions + 1, chunk):
+        hi = min(positions + 1, lo + chunk)
+        best = max(best, float(decomposition_costs(n, lo, hi, weights).max()))
+    return params.epsilon * best
+
+
+def worst_position_search_bound(d: int, params) -> int:
+    """Positions to search for the per-d worst case: 4 * 2^floor(log2 n).
+
+    Decomposition structure is translation-periodic with period
+    2^(floor(log2 n)+1) in the start position, so two full periods cover
+    every pattern.
+    """
+    n = d - params.delay + 1
+    return 4 << floor_log2(n)
+
+
+def search_loss_expiration(d: int, params, t_max: int) -> float:
+    """The position search: entry positions up to min(t_max, search bound)."""
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    if d < params.delay:
+        return 0.0
+    return position_search_loss(
+        d, params, min(t_max, worst_position_search_bound(d, params)))
+
+
+def search_loss_baseline(d: int, params, horizon: int):
+    """The baseline's worst case by a loop over every round position s."""
+    w = params.window
+    k = params.tree_depth
+    best = None
+    for s in range(1, min(w, horizon) + 1):
+        tree = 0
+        for lvl in range(k):
+            end = -(-s >> lvl) << lvl  # end of the level-lvl node holding s
+            if end <= w and end <= s + d:
+                tree += 1
+        past = (s + d - 1) // w
+        value = params.eps_cur * tree / k + params.eps_past * past
+        if best is None or value > best:
+            best = value
+    return best

@@ -27,10 +27,10 @@ from fadecount.mechanisms import (ExpirationCounter, MechanismParams,
                                   run_expiration)
 from fadecount.privacy_audit import (empirical_loss_baseline,
                                      empirical_loss_curve,
-                                     empirical_loss_expiration,
                                      exact_loss_bound, lower_bound_check,
-                                     published_loss_bound, verify_coupling,
-                                     worst_position_search_bound)
+                                     published_loss_bound, verify_coupling)
+
+from audit_oracles import position_search_loss
 
 MSE_TARGET = 1000.0
 
@@ -192,21 +192,22 @@ def test_criterion_05_dyadic_oracles():
 
 
 def test_criterion_06_audit_dominance():
-    with criterion(6, "loss dominance + bounded worst-case search") as info:
+    with criterion(6, "loss dominance + closed-form worst case") as info:
         t0 = time.perf_counter()
         d_values = np.arange(0, 1001)
         for lam in (1.0, 2.0, 3.0):
             params = MechanismParams(0.1, lam, 0)
-            bounded = empirical_loss_curve(params, d_values, 10**9).loss
-            brute = empirical_loss_curve(params, d_values, 1 << 12).loss
-            assert np.array_equal(bounded, brute), f"lam={lam}"
+            closed = empirical_loss_curve(params, d_values, 10**9).loss
+            brute = np.array([position_search_loss(int(d), params, 1 << 12)
+                              for d in d_values])
+            assert np.array_equal(closed, brute), f"lam={lam}"
             for d in d_values:
                 exact = exact_loss_bound(int(d), params)
-                assert bounded[d] <= exact + 1e-12
+                assert closed[d] <= exact + 1e-12
                 assert exact <= published_loss_bound(int(d), params) + 1e-12
         elapsed = time.perf_counter() - t0
         info["detail"] = (f"empirical <= exact <= theoretical for "
-                          f"lam in {{1,2,3}}, d <= 1000; bounded search == "
+                          f"lam in {{1,2,3}}, d <= 1000; closed form == "
                           f"brute force over j <= 4096 ({elapsed:.1f}s)")
         assert elapsed < 60.0
 

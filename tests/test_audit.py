@@ -17,8 +17,10 @@ from fadecount.privacy_audit import (CouplingReport, PrivacyLossCurve,
                                      empirical_loss_curve,
                                      empirical_loss_expiration,
                                      exact_loss_bound, lower_bound_check,
-                                     published_loss_bound, verify_coupling,
-                                     worst_position_search_bound)
+                                     published_loss_bound, verify_coupling)
+
+from audit_oracles import (search_loss_baseline, search_loss_expiration,
+                           worst_position_search_bound)
 
 
 class TestPrivacyLossCurve:
@@ -156,14 +158,58 @@ class TestEmpiricalLossExpiration:
         p = MechanismParams(1.0, 2.0, 0)
         for d in (0, 3, 9, 21, 64, 200):
             bound = worst_position_search_bound(d, p)
-            assert empirical_loss_expiration(d, p, bound) == \
-                empirical_loss_expiration(d, p, 4 * bound)
+            assert search_loss_expiration(d, p, bound) == \
+                search_loss_expiration(d, p, 4 * bound) == \
+                empirical_loss_expiration(d, p, 10**9)
 
     def test_search_bound_value(self):
         p = MechanismParams(1.0, 1.0, 0)
         assert worst_position_search_bound(0, p) == 4
         assert worst_position_search_bound(7, p) == 4 * 8
         assert worst_position_search_bound(8, p) == 4 * 8
+
+    @given(st.lists(st.integers(0, 2000), min_size=1, max_size=8,
+                    unique=True),
+           st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+           st.sampled_from([0, 1, 16]),
+           st.one_of(st.integers(1, 64), st.integers(1, 5000)))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_equals_search_property(self, ds, lam, delay, t_max):
+        # t_max runs past the period 2^(floor(log2 n)+1) of every d here and
+        # also far below it, where the DP's "fits under t_max" state matters
+        p = MechanismParams(0.3, lam, delay)
+        ds = sorted(ds)
+        want = [search_loss_expiration(d, p, t_max) for d in ds]
+        assert np.array_equal(empirical_loss_curve(p, ds, t_max).loss, want)
+        assert empirical_loss_expiration(ds[0], p, t_max) == want[0]
+
+    def test_t_max_below_period(self):
+        # with steep level weights the worst entry position lies past j = 3
+        # for many d, so a t_max below it lowers the loss
+        p = MechanismParams(0.3, 3.0, 1)
+        ds = np.arange(0, 600)
+        unrestricted = empirical_loss_curve(p, ds, 10**9).loss
+        for t_max in (1, 2, 3):
+            got = empirical_loss_curve(p, ds, t_max).loss
+            assert np.any(got < unrestricted)
+            assert np.array_equal(
+                got, [search_loss_expiration(int(d), p, t_max) for d in ds])
+
+    def test_kernel_spans_grid_blocks(self):
+        # a grid longer than one numpy block, delay regime included
+        p = MechanismParams(0.2, 2.0, 16)
+        ds = np.arange(0, 40000, 2)
+        got = empirical_loss_curve(p, ds, 300).loss
+        for i in range(0, len(ds), 97):
+            assert got[i] == search_loss_expiration(int(ds[i]), p, 300)
+
+    def test_rejects_t_max_below_one(self):
+        p = MechanismParams(1.0, 1.0, 4)
+        for t_max in (0, -1):
+            with pytest.raises(ValueError, match="t_max"):
+                empirical_loss_expiration(2, p, t_max)  # delay regime too
+            with pytest.raises(ValueError, match="t_max"):
+                empirical_loss_curve(p, np.arange(10), t_max)
 
     def test_curve_wrapper(self):
         p = MechanismParams(0.5, 1.0, 0)
@@ -226,6 +272,60 @@ class TestEmpiricalLossBaseline:
         curve = baseline_loss_curve(params, np.arange(0, 40), 10**4)
         for i, d in enumerate(range(40)):
             assert curve.loss[i] == empirical_loss_baseline(d, params, 10**4)
+
+    @given(st.integers(1, 300),
+           st.lists(st.integers(0, 1500), min_size=1, max_size=6,
+                    unique=True),
+           st.integers(1, 700), st.floats(0.05, 2.0), st.floats(0.005, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_equals_position_loop_property(self, w, ds, horizon,
+                                                  eps_cur, eps_past):
+        params = BaselineParams(w, eps_cur, eps_past)
+        ds = sorted(ds)
+        want = [search_loss_baseline(d, params, horizon) for d in ds]
+        assert np.array_equal(baseline_loss_curve(params, ds, horizon).loss,
+                              want)
+        assert [empirical_loss_baseline(d, params, horizon)
+                for d in ds] == want
+
+    @given(st.integers(1, 200), st.integers(0, 1000), st.integers(1, 400),
+           st.fractions(Fraction(1, 100), 2, max_denominator=1000),
+           st.fractions(Fraction(1, 1000), 1, max_denominator=1000))
+    @settings(max_examples=60, deadline=None)
+    def test_fraction_budgets_property(self, w, d, horizon, eps_cur,
+                                       eps_past):
+        params = BaselineParams(w, eps_cur, eps_past)
+        got = empirical_loss_baseline(d, params, horizon)
+        assert isinstance(got, Fraction)
+        assert got == search_loss_baseline(d, params, horizon)
+
+    def test_kernel_equals_position_loop_small_windows(self):
+        # every horizon up to past the window, and every d over three rounds
+        for w in (1, 2, 3, 5, 8, 13, 21, 32):
+            params = BaselineParams(w, 1.0, 0.07)
+            ds = np.arange(0, 3 * w + 2)
+            for horizon in range(1, w + 2):
+                want = [search_loss_baseline(int(d), params, horizon)
+                        for d in ds]
+                assert np.array_equal(
+                    baseline_loss_curve(params, ds, horizon).loss, want), \
+                    (w, horizon)
+
+    def test_kernel_spans_blocks(self):
+        # enough distinct d below the window for several (d, s) blocks
+        params = BaselineParams(255, 0.9, 0.04)
+        ds = np.arange(0, 900, 3)
+        for horizon in (100, 255, 10**6):
+            want = [search_loss_baseline(int(d), params, horizon) for d in ds]
+            assert np.array_equal(
+                baseline_loss_curve(params, ds, horizon).loss, want)
+
+    def test_rejects_bad_arguments(self):
+        params = BaselineParams(8, 1.0, 0.1)
+        with pytest.raises(ValueError, match="horizon"):
+            empirical_loss_baseline(3, params, 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            baseline_loss_curve(params, [-1, 0], 10)
 
 
 def record_run(params, xs, seed):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fadecount.calibration import (BaselineCalibration, CalibrationResult,
-                                   analytic_mse_baseline,
+                                   _minimize_bounded, analytic_mse_baseline,
                                    analytic_mse_expiration, calibrate_baseline,
                                    calibrate_epsilon, error_bound_expiration,
                                    optimal_ratio, popcount_total)
@@ -186,6 +186,41 @@ class TestOptimalRatio:
     def test_window_must_be_shorter_than_horizon(self):
         with pytest.raises(ValueError):
             optimal_ratio(1000.0, 100, 127)
+
+
+class TestMinimizeBounded:
+    @given(st.floats(10.0, 1e5), st.integers(100, 10**7),
+           st.integers(2, 2000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_bounded_brent(self, mse, T, w):
+        # the scipy minimizer it replaced is the oracle, float for float
+        minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+        if not w < T:
+            return
+        rounds = -(-T // w)
+
+        def objective(r):
+            c = calibrate_baseline(mse, T, w, r)
+            return c.eps_cur + c.eps_past * (rounds - 1)
+
+        want = minimize_scalar(objective, bounds=(1e-6, 1.0),
+                               method="bounded", options={"xatol": 1e-9})
+        assert _minimize_bounded(objective, 1e-6, 1.0, 1e-9) == \
+            (float(want.x), bool(want.success))
+
+    def test_quadratic_and_bounds(self):
+        rho, converged = _minimize_bounded(lambda x: (x - 0.3) ** 2,
+                                           0.0, 1.0, 1e-10)
+        assert converged and rho == pytest.approx(0.3, abs=1e-9)
+        # a minimum outside the interval ends at the nearer bound
+        rho, converged = _minimize_bounded(lambda x: x, 2.0, 5.0, 1e-9)
+        assert converged and rho == pytest.approx(2.0, abs=1e-6)
+
+    def test_reports_exhausted_calls(self):
+        rho, converged = _minimize_bounded(lambda x: (x - 0.3) ** 2,
+                                           0.0, 1.0, 1e-12, max_calls=4)
+        assert not converged
+        assert 0.0 <= rho <= 1.0
 
 
 class TestErrorBound:

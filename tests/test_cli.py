@@ -147,6 +147,24 @@ class TestAudit:
         assert float(rows[0]["loss_empirical"]) == \
             pytest.approx(0.13406714735534578)
 
+    @pytest.mark.parametrize("mechanism", [
+        ["--mechanism", "expiration", "--epsilon", "0.5"],
+        ["--mechanism", "expiration", "--mse", "1000"],
+        ["--mechanism", "baseline", "--window", "8", "--eps-cur", "1.0",
+         "--eps-past", "0.1"]])
+    @pytest.mark.parametrize("t_max", ["0", "-2"])
+    def test_t_max_below_one_is_usage_error(self, tmp_path, capsys,
+                                            mechanism, t_max):
+        out = tmp_path / "audit.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", *mechanism, "--d-max", "10", "--t-max", t_max,
+                  "--output", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"fadecount audit: error: --t-max must be >= 1, got {t_max}"]
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_expiration_output(self, capsys):
