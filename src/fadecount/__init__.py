@@ -21,8 +21,7 @@ from .mechanisms import (BaselineCounter, BaselineParams, ExpirationCounter,
                          LogarithmicCounter, MechanismParams, RecordingNoise,
                          ReplayNoise, SeededNoise, SimpleCounter, ZeroNoise,
                          run_expiration, run_simple)
-from .noise import (concentration_threshold, keyed_noise, laplace_sample,
-                    laplace_tail)
+from .noise import concentration_threshold, keyed_noise, laplace_sample
 from .privacy_audit import (CouplingReport, LowerBoundReport,
                             PrivacyLossCurve, baseline_loss_curve,
                             closed_form_loss_bound, coupling_shift,
@@ -46,7 +45,7 @@ __all__ = [
     "empirical_loss_baseline", "empirical_loss_curve",
     "empirical_loss_expiration", "error_bound_expiration",
     "exact_loss_bound", "floor_log2", "intersect", "keyed_noise",
-    "laplace_sample", "laplace_tail", "lower_bound_check", "optimal_ratio",
+    "laplace_sample", "lower_bound_check", "optimal_ratio",
     "popcount_total", "published_loss_bound", "run_expiration",
     "run_simple", "verify_coupling",
 ]

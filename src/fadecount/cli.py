@@ -147,6 +147,31 @@ def _generate_stream(spec: str, t_max: int, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# usage errors: one line on stderr, exit code 2, no usage block
+
+
+def _usage_error(parser, args, message: str):
+    parser.exit(2, f"{parser.prog} {args.command}: error: {message}\n")
+
+
+def _checked(parser, args, build, *build_args):
+    """build(*build_args), with a rejected argument (ValueError) reported
+    as a usage error."""
+    try:
+        return build(*build_args)
+    except ValueError as exc:
+        _usage_error(parser, args, str(exc))
+
+
+def _open_output(parser, args):
+    try:
+        return open(args.output, "w")
+    except OSError as exc:
+        _usage_error(parser, args,
+                     f"cannot write {args.output}: {exc.strerror}")
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -155,17 +180,19 @@ def _make_counter(args, parser):
     if mech == "baseline":
         if args.window is None or args.eps_cur is None or args.eps_past is None:
             parser.error("baseline needs --window, --eps-cur and --eps-past")
-        params = BaselineParams(args.window, args.eps_cur, args.eps_past)
+        params = _checked(parser, args, BaselineParams, args.window,
+                          args.eps_cur, args.eps_past)
         return BaselineCounter(params, SeededNoise(args.seed))
     if args.epsilon is None:
         parser.error(f"{mech} needs --epsilon")
     if mech == "simple":
-        return SimpleCounter(MechanismParams(args.epsilon),
-                             SeededNoise(args.seed))
+        params = _checked(parser, args, MechanismParams, args.epsilon)
+        return SimpleCounter(params, SeededNoise(args.seed))
     if mech == "log":
-        params = MechanismParams(args.epsilon, 1.0, 0)
+        params = _checked(parser, args, MechanismParams, args.epsilon, 1.0, 0)
     else:
-        params = MechanismParams(args.epsilon, args.level_exponent, args.delay)
+        params = _checked(parser, args, MechanismParams, args.epsilon,
+                          args.level_exponent, args.delay)
     return ExpirationCounter(params, SeededNoise(args.seed))
 
 
@@ -174,12 +201,14 @@ def cmd_run(args, parser) -> int:
         parser.error("exactly one of --input / --generator is required")
     if args.generator is not None and args.t_max is None:
         parser.error("--generator needs --t-max")
+    if args.t_max is not None and args.t_max < 1:
+        _usage_error(parser, args, f"--t-max must be >= 1, got {args.t_max}")
+    counter = _make_counter(args, parser)
     if args.input is not None:
         xs = _parse_stream_file(args.input, args.t_max)
     else:
         xs = _generate_stream(args.generator, args.t_max, args.seed)
-    counter = _make_counter(args, parser)
-    with open(args.output, "w") as fh:
+    with _open_output(parser, args) as fh:
         fh.write("t,true_sum,released,abs_error\n")
         true_sum = 0.0
         for t, x in enumerate(xs, start=1):
@@ -194,8 +223,7 @@ def cmd_audit(args, parser) -> int:
     if args.d_max < 0:
         parser.error("--d-max must be nonnegative")
     if args.t_max is not None and args.t_max < 1:
-        parser.exit(2, f"{parser.prog} audit: error: --t-max must be >= 1, "
-                       f"got {args.t_max}\n")
+        _usage_error(parser, args, f"--t-max must be >= 1, got {args.t_max}")
     horizon = args.t_max if args.t_max is not None else args.d_max + 1
     d_values = np.arange(args.d_max + 1)
     if args.mechanism == "baseline":
@@ -203,29 +231,32 @@ def cmd_audit(args, parser) -> int:
             parser.error("baseline audit needs --window")
         if args.mse is not None:
             ratio = args.ratio if args.ratio is not None else 0.1
-            cal = calibrate_baseline(args.mse, horizon, args.window, ratio)
+            cal = _checked(parser, args, calibrate_baseline, args.mse,
+                           horizon, args.window, ratio)
             params = BaselineParams(args.window, cal.eps_cur, cal.eps_past)
         elif args.eps_cur is not None and args.eps_past is not None:
-            params = BaselineParams(args.window, args.eps_cur, args.eps_past)
+            params = _checked(parser, args, BaselineParams, args.window,
+                              args.eps_cur, args.eps_past)
         else:
             parser.error("baseline audit needs --eps-cur/--eps-past or --mse")
         curve = baseline_loss_curve(params, d_values, horizon)
         theoretical = [""] * len(d_values)
     else:
         if args.mse is not None:
-            cal = calibrate_epsilon(args.mse, horizon, args.level_exponent,
-                                    args.delay)
+            cal = _checked(parser, args, calibrate_epsilon, args.mse,
+                           horizon, args.level_exponent, args.delay)
             eps = cal.epsilon
         elif args.epsilon is not None:
             eps = args.epsilon
         else:
             parser.error("expiration audit needs --epsilon or --mse")
-        params = MechanismParams(eps, args.level_exponent, args.delay)
+        params = _checked(parser, args, MechanismParams, eps,
+                          args.level_exponent, args.delay)
         curve = empirical_loss_curve(params, d_values, horizon)
         theoretical = [repr(published_loss_bound(int(d), params))
                        for d in d_values]
     env = curve.envelope
-    with open(args.output, "w") as fh:
+    with _open_output(parser, args) as fh:
         fh.write("d,loss_empirical,loss_envelope,loss_theoretical\n")
         for i, d in enumerate(d_values):
             fh.write(f"{d},{float(curve.loss[i])!r},{float(env[i])!r},"
@@ -239,17 +270,18 @@ def cmd_calibrate(args, parser) -> int:
 
     if args.window is not None:
         if args.optimal_ratio:
-            ratio, cal = optimal_ratio(args.mse, args.t_max, args.window)
+            ratio, cal = _checked(parser, args, optimal_ratio, args.mse,
+                                  args.t_max, args.window)
             print(f"ratio = {sig4(ratio)} ({ratio!r})")
         else:
-            cal = calibrate_baseline(args.mse, args.t_max, args.window,
-                                     args.ratio)
+            cal = _checked(parser, args, calibrate_baseline, args.mse,
+                           args.t_max, args.window, args.ratio)
         print(f"eps_cur = {sig4(cal.eps_cur)} ({cal.eps_cur!r})")
         print(f"eps_past = {sig4(cal.eps_past)} ({cal.eps_past!r})")
         print(f"achieved_mse = {cal.achieved_mse!r}")
     else:
-        cal = calibrate_epsilon(args.mse, args.t_max, args.level_exponent,
-                                args.delay)
+        cal = _checked(parser, args, calibrate_epsilon, args.mse, args.t_max,
+                       args.level_exponent, args.delay)
         print(f"epsilon = {sig4(cal.epsilon)} ({cal.epsilon!r})")
         print(f"achieved_mse = {cal.achieved_mse!r}")
     return 0
@@ -278,7 +310,12 @@ def _write_series(path: str, d_values, losses) -> None:
 def cmd_figures(args, parser) -> int:
     figure = args.figure
     outdir = args.output
-    os.makedirs(outdir, exist_ok=True)
+    if args.d_max is not None and args.d_max < 0:
+        parser.error("--d-max must be nonnegative")
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        _usage_error(parser, args, f"cannot create {outdir}: {exc.strerror}")
     mse = 1000.0
     T = 10**6 if figure in ("4", "5b") else 10**3
     d_max = args.d_max if args.d_max is not None else T - 1

@@ -224,10 +224,13 @@ class ExpirationCounter:
                 k, self.noise.draw((DOMAIN_INTERVAL, lvl, k),
                                    self.params.level_scale(lvl)))
             self.redraws += 1
-        out = self._delayed_sum
-        for _lvl, (_k, z) in self._active.items():
-            out = out + z
-        return out
+        # live noise summed in level order, then added to the prefix: the
+        # order run_expiration uses, so both paths release identical floats
+        # (a plain loop, since sum() compensates floats on Python >= 3.12)
+        noise = 0
+        for _k, z in self._active.values():
+            noise = noise + z
+        return self._delayed_sum + noise
 
 
 class LogarithmicCounter(ExpirationCounter):
@@ -296,27 +299,34 @@ class BaselineCounter:
 # vectorized runners (single stream / Monte Carlo batches)
 #
 # These produce exactly the same numbers as the scalar counters above — the
-# noise keys and the PRF lane are shared — but evaluate whole streams with
-# numpy.  Used by the CLI on long streams and by the calibration Monte
-# Carlo, where stepping a Python loop 10^4 x 1024 times would dominate.
+# noise keys, the PRF lane and the summation order are shared — but evaluate
+# whole streams with numpy.  Used on long streams and by the Monte Carlo
+# checks, where stepping a Python loop 10^4 x 1024 times would dominate.
 
 
 def expiration_noise_totals(params: MechanismParams, positions: int,
                             seed: int) -> np.ndarray:
-    """Total interval noise at release positions 1..positions (index 0 unused)."""
+    """Total interval noise at release positions 1..positions (index 0 unused).
+
+    Level l's draw k covers positions k*2^l .. (k+1)*2^l - 1, so each level
+    is one broadcast add of its draws over a (blocks, 2^l) view of the
+    totals, plus a scalar add for a partial last block.  Levels are added in
+    ascending order, the order ExpirationCounter.step sums them in.
+    """
     total = np.zeros(positions + 1)
     if positions < 1:
         return total
-    p = np.arange(positions + 1, dtype=np.int64)
     for lvl in range(floor_log2(positions) + 1):
+        width = 1 << lvl
         hi = positions >> lvl
         u = prf_uniform_array(seed, (DOMAIN_INTERVAL, lvl),
-                              np.arange(hi + 1, dtype=np.uint64))
+                              np.arange(1, hi + 1, dtype=np.uint64))
         z = laplace_sample_array(params.level_scale(lvl), u)
-        idx = p >> lvl
-        live = idx >= 1
-        total[live] += z[idx[live]]
-    total[0] = 0.0
+        full = (positions + 1) >> lvl      # blocks wholly inside 0..positions
+        blocks = total[width:full * width].reshape(full - 1, width)
+        blocks += z[:full - 1, None]
+        if full == hi:
+            total[hi * width:] += z[hi - 1]
     return total
 
 
@@ -355,18 +365,10 @@ def expiration_max_and_mse_batch(params: MechanismParams, positions: int,
     seeds = np.asarray(list(seeds), dtype=np.uint64)
     maxes = np.empty(len(seeds))
     mses = np.empty(len(seeds))
-    p = np.arange(1, positions + 1, dtype=np.int64)
-    idxs = [p >> lvl for lvl in range(floor_log2(positions) + 1)]
     for i, s in enumerate(seeds):
-        total = np.zeros(positions)
-        for lvl, idx in enumerate(idxs):
-            hi = positions >> lvl
-            u = prf_uniform_array(int(s), (DOMAIN_INTERVAL, lvl),
-                                  np.arange(hi + 1, dtype=np.uint64))
-            z = laplace_sample_array(params.level_scale(lvl), u)
-            live = idx >= 1
-            total[live] += z[idx[live]]
+        total = expiration_noise_totals(params, positions, int(s))[1:]
         np.abs(total, out=total)
         maxes[i] = total.max()
-        mses[i] = np.mean(total * total)
+        total *= total
+        mses[i] = np.mean(total)
     return maxes, mses

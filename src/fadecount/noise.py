@@ -1,4 +1,4 @@
-"""Laplace sampling, deterministic keyed noise, and tail/concentration bounds.
+"""Laplace sampling, deterministic keyed noise, and a concentration bound.
 
 Noise is never stored per draw: every value is a fixed pseudorandom function
 of (seed, key), so a mechanism can lazily draw, discard, and later *replay*
@@ -55,18 +55,27 @@ def prf_uniform_array(seed: int, prefix, indices: np.ndarray) -> np.ndarray:
     """Vector lane of :func:`prf_uniform`: one uniform per entry of `indices`.
 
     Bit-identical to the scalar path for every element; the fold over
-    ``prefix`` happens in scalar space, the final rounds are vectorized.
+    ``prefix`` happens in scalar space, the final round is vectorized with
+    in-place ufuncs.  `indices` is left unchanged.
     """
     h0 = seed & _MASK64
     for p in prefix:
         h0 = _mix64((h0 + p) & _MASK64)
-    with np.errstate(over="ignore"):
-        h = np.uint64(h0) + indices.astype(np.uint64)
-        h = h + np.uint64(_GOLDEN)
-        h = (h ^ (h >> np.uint64(30))) * np.uint64(_MIX_A)
-        h = (h ^ (h >> np.uint64(27))) * np.uint64(_MIX_B)
-        h = h ^ (h >> np.uint64(31))
-        return ((h >> np.uint64(12)).astype(np.float64) + 0.5) * _INV_2_52
+    h = indices.astype(np.uint64)
+    # addition mod 2^64 is associative, so both offsets fold into one add
+    h += np.uint64((h0 + _GOLDEN) & _MASK64)
+    out = np.empty(h.shape)
+    shifted = out.view(np.uint64)   # scratch until out is written
+    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+        np.right_shift(h, np.uint64(shift), out=shifted)
+        h ^= shifted
+        h *= np.uint64(mult)
+    np.right_shift(h, np.uint64(31), out=shifted)
+    h ^= shifted
+    h >>= np.uint64(12)
+    np.add(h, 0.5, out=out)
+    out *= _INV_2_52
+    return out
 
 
 def laplace_sample(scale: float, uniform: float) -> float:
@@ -89,28 +98,24 @@ def laplace_sample(scale: float, uniform: float) -> float:
 
 
 def laplace_sample_array(scale: float, uniforms: np.ndarray) -> np.ndarray:
-    """Vectorized inverse-CDF Laplace; matches laplace_sample elementwise."""
+    """Vectorized inverse-CDF Laplace; matches laplace_sample elementwise.
+
+    Computes ``-scale * sgn(c) * log1p(-2|c|)`` with c = u - 1/2, in that
+    order, with in-place ufuncs.  `uniforms` is left unchanged.
+    """
     c = uniforms - 0.5
-    return -scale * np.sign(c) * np.log1p(-2.0 * np.abs(c))
+    out = np.sign(c)
+    out *= -scale
+    np.abs(c, out=c)
+    c *= -2.0
+    np.log1p(c, out=c)
+    out *= c
+    return out
 
 
 def keyed_noise(seed: int, parts, scale: float) -> float:
     """The Lap(scale) value attached to key (seed, parts); same key, same value."""
     return laplace_sample(scale, prf_uniform(seed, parts))
-
-
-def laplace_tail(scale: float, t: float) -> float:
-    """Upper bound on Pr[|X| > t * b] for X ~ Lap(b): exp(-t).
-
-    The bound holds with equality for the Laplace distribution; it is
-    scale-free because t is measured in units of b (the ``scale`` argument
-    is kept for interface symmetry and validated only).
-    """
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    return math.exp(-t)
 
 
 def concentration_threshold(scales, beta: float) -> float:

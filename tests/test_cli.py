@@ -37,7 +37,7 @@ class TestRun:
         params = MechanismParams(0.5, 1.0, 0)
         expected = run_expiration(params, np.ones(40), seed=3)
         got = np.array([float(r["released"]) for r in rows])
-        assert np.allclose(got, expected, rtol=0, atol=1e-9)
+        assert np.array_equal(got, expected)
 
     def test_file_stream(self, tmp_path):
         stream = tmp_path / "xs.txt"
@@ -231,6 +231,44 @@ class TestFigures:
         with pytest.raises(SystemExit) as exc:
             main(["figures", "9z"])
         assert exc.value.code == 2
+
+
+class TestUsageErrors:
+    GEN = ["--generator", "zeros", "--t-max", "5"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--epsilon", "-1", *GEN, "--output", "{out}"],
+         "epsilon must be positive, got -1.0"),
+        (["run", "--mechanism", "baseline", "--window", "0", "--eps-cur", "1",
+          "--eps-past", "0.1", *GEN, "--output", "{out}"],
+         "window must be a positive integer, got 0"),
+        (["run", "--epsilon", "1", "--generator", "zeros", "--t-max", "-1",
+          "--output", "{out}"], "--t-max must be >= 1, got -1"),
+        (["run", "--epsilon", "1", *GEN, "--output", "{missing}"],
+         "cannot write {missing}: No such file or directory"),
+        (["calibrate", "--mse", "1000", "--window", "100", "--t-max", "100",
+          "--optimal-ratio"], "need window < T, got window=100, T=100"),
+        (["calibrate", "--mse", "1000", "--t-max", "4", "--delay", "8"],
+         "horizon entirely inside the delay: nothing to calibrate"),
+        (["audit", "--mse", "1000", "--d-max", "10", "--t-max", "4",
+          "--delay", "8", "--output", "{out}"],
+         "horizon entirely inside the delay: nothing to calibrate"),
+        (["audit", "--epsilon", "1", "--d-max", "10", "--output", "{missing}"],
+         "cannot write {missing}: No such file or directory"),
+        (["figures", "2b", "--output", "{missing_dir}"],
+         "cannot create {missing_dir}: Not a directory"),
+    ])
+    def test_one_line_and_exit_two(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        (tmp_path / "file").write_text("")
+        paths = {"out": str(out), "missing": str(tmp_path / "no" / "o.csv"),
+                 "missing_dir": str(tmp_path / "file" / "figs")}
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(**paths) for a in argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"fadecount {argv[0]}: error: {message.format(**paths)}"]
+        assert not out.exists()
 
 
 class TestEntryPoint:

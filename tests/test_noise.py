@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fadecount.noise import (concentration_threshold, keyed_noise,
                              laplace_sample, laplace_sample_array,
-                             laplace_tail, prf_uniform, prf_uniform_array)
+                             prf_uniform, prf_uniform_array)
 
 
 def mix64_reference(h):
@@ -112,6 +112,14 @@ class TestLaplaceSample:
             with pytest.raises(ValueError):
                 laplace_sample(bad, 0.3)
 
+    def test_array_lanes_leave_inputs_unchanged(self):
+        idx = np.arange(1, 1000, dtype=np.uint64)
+        us = prf_uniform_array(3, (1, 2), idx)
+        assert np.array_equal(idx, np.arange(1, 1000, dtype=np.uint64))
+        kept = us.copy()
+        laplace_sample_array(2.5, us)
+        assert np.array_equal(us, kept)
+
     def test_array_matches_scalar(self):
         us = np.linspace(0.01, 0.99, 101)
         arr = laplace_sample_array(1.7, us)
@@ -144,14 +152,6 @@ class TestKeyedNoise:
 
 
 class TestTailBounds:
-    def test_tail_value(self):
-        assert laplace_tail(1.0, 0.0) == 1.0
-        assert laplace_tail(3.0, 2.0) == pytest.approx(math.exp(-2.0))
-
-    def test_tail_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            laplace_tail(-1.0, 1.0)
-
     def test_threshold_single_scale(self):
         # one scale b: nu = b*sqrt(ln(2/beta)) when that exceeds sqrt(b^2)
         beta = 0.01
