@@ -64,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="steps to run (required with --generator; with "
                             "--input, truncates the stream)")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--input", help="file with one value in [0,1] per line")
+    p_run.add_argument("--input", help="file with one value in [0,1] per "
+                                       "line; blank lines are skipped")
     p_run.add_argument("--generator",
                        help="synthetic stream: zeros | ones | bernoulli(p)")
     p_run.add_argument("--output", required=True)
@@ -111,9 +112,11 @@ def _parse_stream_file(path: str, t_max) -> np.ndarray:
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
+                text = raw.strip()
+                if not text:
+                    continue
                 if t_max is not None and len(values) >= t_max:
                     break
-                text = raw.strip()
                 try:
                     v = float(text)
                 except ValueError:

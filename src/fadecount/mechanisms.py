@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import floor_log2
-from .noise import (keyed_noise, laplace_sample_array, prf_uniform,
+from .noise import (_MASK64, _laplace_inplace, _prf_key_offset,
+                    _prf_uniform_inplace, keyed_noise, laplace_sample_array,
                     prf_uniform_array)
 
 # key domains, so draws of different kinds can never collide
@@ -304,29 +305,83 @@ class BaselineCounter:
 # checks, where stepping a Python loop 10^4 x 1024 times would dominate.
 
 
+# draws per pass of the noise-total kernel: its scratch is three arrays of
+# this many 8-byte elements, whatever the number of positions
+_CHUNK = 1 << 15
+
+
+def _draw_chunks(positions: int):
+    """The kernel's draw stream, level-major, cut into chunks of _CHUNK draws.
+
+    Level l contributes draws 1..positions >> l.  Yields, per chunk, its
+    segments (level, first draw, offset in the chunk, count) in stream
+    order; a level may span several chunks and a chunk may hold many levels.
+    """
+    segments, used = [], 0
+    for lvl in range(floor_log2(positions) + 1):
+        first, last = 1, positions >> lvl
+        while first <= last:
+            count = min(last - first + 1, _CHUNK - used)
+            segments.append((lvl, first, used, count))
+            used += count
+            first += count
+            if used == _CHUNK:
+                yield segments
+                segments, used = [], 0
+    if segments:
+        yield segments
+
+
 def expiration_noise_totals(params: MechanismParams, positions: int,
                             seed: int) -> np.ndarray:
     """Total interval noise at release positions 1..positions (index 0 unused).
 
-    Level l's draw k covers positions k*2^l .. (k+1)*2^l - 1, so each level
-    is one broadcast add of its draws over a (blocks, 2^l) view of the
-    totals, plus a scalar add for a partial last block.  Levels are added in
+    Every level's draws form one stream, processed a chunk at a time in
+    reused scratch: the keys of all the chunk's segments, one in-place PRF
+    pass, one in-place Laplace pass with a per-segment scale.  Level l's
+    draw k covers positions k*2^l .. (k+1)*2^l - 1, so each segment is
+    added over a (blocks, 2^l) view of the totals, plus a scalar add for a
+    partial last block.  Chunks follow the stream, so levels are added in
     ascending order, the order ExpirationCounter.step sums them in.
     """
+    if positions < 0:
+        raise ValueError(f"positions must be >= 0, got {positions}")
     total = np.zeros(positions + 1)
     if positions < 1:
         return total
-    for lvl in range(floor_log2(positions) + 1):
-        width = 1 << lvl
-        hi = positions >> lvl
-        u = prf_uniform_array(seed, (DOMAIN_INTERVAL, lvl),
-                              np.arange(1, hi + 1, dtype=np.uint64))
-        z = laplace_sample_array(params.level_scale(lvl), u)
-        full = (positions + 1) >> lvl      # blocks wholly inside 0..positions
-        blocks = total[width:full * width].reshape(full - 1, width)
-        blocks += z[:full - 1, None]
-        if full == hi:
-            total[hi * width:] += z[hi - 1]
+    size = min(_CHUNK, 2 * positions)      # the stream has < 2*positions draws
+    ramp = np.arange(size, dtype=np.uint64)
+    keys = np.empty(size, dtype=np.uint64)
+    z = np.empty(size)
+    levels = range(floor_log2(positions) + 1)
+    offsets = [_prf_key_offset(seed, (DOMAIN_INTERVAL, lvl)) for lvl in levels]
+    scales = [params.level_scale(lvl) for lvl in levels]
+    for segments in _draw_chunks(positions):
+        _lvl, _first, at, count = segments[-1]
+        n = at + count
+        for lvl, first, at, count in segments:
+            np.add(ramp[:count], np.uint64((offsets[lvl] + first) & _MASK64),
+                   out=keys[at:at + count])
+        u = _prf_uniform_inplace(keys[:n], z[:n].view(np.uint64))
+        _laplace_inplace(u, z[:n], [(slice(at, at + count), scales[lvl])
+                                    for lvl, _first, at, count in segments])
+        for lvl, first, at, count in segments:
+            width = 1 << lvl
+            full = (positions + 1) >> lvl  # blocks wholly inside 0..positions
+            stop = min(first + count, full)
+            if stop > first:
+                dst = total[first * width:stop * width]
+                src = z[at:at + stop - first]
+                if width <= 4:
+                    # a broadcast runs numpy's inner loop along rows this
+                    # short; one strided add per column is about twice as fast
+                    for j in range(width):
+                        dst[j::width] += src
+                else:
+                    blocks = dst.reshape(stop - first, width)
+                    blocks += src[:, None]
+            if first + count > full:
+                total[full * width:] += z[at + count - 1]
     return total
 
 
@@ -338,8 +393,9 @@ def run_expiration(params: MechanismParams, xs: np.ndarray,
     P = T - params.delay
     if P >= 1:
         noise = expiration_noise_totals(params, P, seed)
-        delayed_prefix = np.cumsum(xs[:P])
-        out[params.delay:] = delayed_prefix + noise[1:]
+        released = out[params.delay:]
+        np.cumsum(xs[:P], out=released)
+        released += noise[1:]
     return out
 
 
@@ -362,11 +418,13 @@ def expiration_max_and_mse_batch(params: MechanismParams, positions: int,
     zero stream the released error at position p is exactly the interval
     noise total, so these statistics need no stream at all.
     """
-    seeds = np.asarray(list(seeds), dtype=np.uint64)
+    if positions < 1:
+        raise ValueError(f"positions must be >= 1, got {positions}")
+    seeds = [int(s) for s in seeds]
     maxes = np.empty(len(seeds))
     mses = np.empty(len(seeds))
     for i, s in enumerate(seeds):
-        total = expiration_noise_totals(params, positions, int(s))[1:]
+        total = expiration_noise_totals(params, positions, s)[1:]
         np.abs(total, out=total)
         maxes[i] = total.max()
         total *= total

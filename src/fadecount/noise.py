@@ -28,6 +28,12 @@ _MIX_B = 0x94D049BB133111EB
 # stays strictly below 1, whereas ((2^53 - 1) + 0.5) rounds up to 2^53 and
 # the uniform would hit exactly 1.0 about once per 2^53 draws
 _INV_2_52 = 1.0 / (1 << 52)
+# the array lane builds (m + 0.5) * 2^-52 without an int -> float conversion:
+# OR-ing the exponent bits of 1.0 onto m gives the double 1 + m * 2^-52, and
+# subtracting 1 - 2^-53 from it is exact (Sterbenz: both lie within a factor
+# of 2), leaving exactly (m + 0.5) * 2^-52
+_ONE_BITS = np.uint64(0x3FF0000000000000)
+_ONE_MINUS_HALF_STEP = 1.0 - 0.5 * _INV_2_52
 
 
 def _mix64(h: int) -> int:
@@ -51,6 +57,39 @@ def prf_uniform(seed: int, parts) -> float:
     return ((h >> 12) + 0.5) * _INV_2_52
 
 
+def _prf_key_offset(seed: int, prefix) -> int:
+    """What the array lane adds to a draw index to get its finalizer input.
+
+    The fold over ``prefix`` is prf_uniform's, in scalar space.  Addition
+    mod 2^64 is associative, so the state it leaves and the finalizer's
+    golden-ratio increment fold into this one offset.
+    """
+    h = seed & _MASK64
+    for p in prefix:
+        h = _mix64((h + p) & _MASK64)
+    return (h + _GOLDEN) & _MASK64
+
+
+def _prf_uniform_inplace(h: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Finish the PRF in place on uint64 keys (index + key offset).
+
+    Runs the rest of the splitmix64 finalizer, then turns the top 52 bits m
+    into the double (m + 0.5) * 2^-52.  `scratch` is a uint64 array of h's
+    shape; it is overwritten.  Returns h viewed as float64.
+    """
+    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+        np.right_shift(h, np.uint64(shift), out=scratch)
+        h ^= scratch
+        h *= np.uint64(mult)
+    np.right_shift(h, np.uint64(31), out=scratch)
+    h ^= scratch
+    h >>= np.uint64(12)
+    h |= _ONE_BITS
+    u = h.view(np.float64)
+    u -= _ONE_MINUS_HALF_STEP
+    return u
+
+
 def prf_uniform_array(seed: int, prefix, indices: np.ndarray) -> np.ndarray:
     """Vector lane of :func:`prf_uniform`: one uniform per entry of `indices`.
 
@@ -58,24 +97,9 @@ def prf_uniform_array(seed: int, prefix, indices: np.ndarray) -> np.ndarray:
     ``prefix`` happens in scalar space, the final round is vectorized with
     in-place ufuncs.  `indices` is left unchanged.
     """
-    h0 = seed & _MASK64
-    for p in prefix:
-        h0 = _mix64((h0 + p) & _MASK64)
     h = indices.astype(np.uint64)
-    # addition mod 2^64 is associative, so both offsets fold into one add
-    h += np.uint64((h0 + _GOLDEN) & _MASK64)
-    out = np.empty(h.shape)
-    shifted = out.view(np.uint64)   # scratch until out is written
-    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
-        np.right_shift(h, np.uint64(shift), out=shifted)
-        h ^= shifted
-        h *= np.uint64(mult)
-    np.right_shift(h, np.uint64(31), out=shifted)
-    h ^= shifted
-    h >>= np.uint64(12)
-    np.add(h, 0.5, out=out)
-    out *= _INV_2_52
-    return out
+    h += np.uint64(_prf_key_offset(seed, prefix))
+    return _prf_uniform_inplace(h, np.empty_like(h))
 
 
 def laplace_sample(scale: float, uniform: float) -> float:
@@ -97,19 +121,33 @@ def laplace_sample(scale: float, uniform: float) -> float:
     return -scale * sgn * float(np.log1p(-2.0 * abs(c)))
 
 
+def _laplace_inplace(u: np.ndarray, out: np.ndarray, scales) -> None:
+    """Inverse-CDF Laplace of the uniforms `u` into `out`, per slice.
+
+    ``scales`` lists (index, scale) pairs covering `out`; each slice of
+    ``sgn(c)`` is multiplied by its own ``-scale`` before the product with
+    ``log1p(-2|c|)``, c = u - 1/2, the scalar path's operation order.  `u`
+    is overwritten.
+    """
+    u -= 0.5
+    np.sign(u, out=out)
+    for index, scale in scales:
+        out[index] *= -scale
+    np.abs(u, out=u)
+    u *= -2.0
+    np.log1p(u, out=u)
+    out *= u
+
+
 def laplace_sample_array(scale: float, uniforms: np.ndarray) -> np.ndarray:
     """Vectorized inverse-CDF Laplace; matches laplace_sample elementwise.
 
     Computes ``-scale * sgn(c) * log1p(-2|c|)`` with c = u - 1/2, in that
     order, with in-place ufuncs.  `uniforms` is left unchanged.
     """
-    c = uniforms - 0.5
-    out = np.sign(c)
-    out *= -scale
-    np.abs(c, out=c)
-    c *= -2.0
-    np.log1p(c, out=c)
-    out *= c
+    u = np.array(uniforms, dtype=np.float64)
+    out = np.empty_like(u)
+    _laplace_inplace(u, out, ((..., scale),))
     return out
 
 

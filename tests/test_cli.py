@@ -69,6 +69,38 @@ class TestRun:
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, t_max, want", [
+        ("0.5\n1\n\n", None, [0.5, 1.0]),             # blank last line
+        ("0.5\n\n  \t\n1\n", None, [0.5, 1.0]),     # blank lines inside
+        ("\n1\n\n0.25\n\n0\n1\n", 3, [1.0, 0.25, 0.0]),  # t_max counts values
+    ])
+    def test_blank_lines_are_skipped(self, tmp_path, text, t_max, want):
+        stream = tmp_path / "xs.txt"
+        stream.write_text(text)
+        out = tmp_path / "run.csv"
+        argv = ["run", "--epsilon", "1.0", "--input", str(stream),
+                "--output", str(out)]
+        rc = main(argv + (["--t-max", str(t_max)] if t_max else []))
+        assert rc == 0
+        sums = [float(row["true_sum"]) for row in read_csv(out)]
+        assert sums == list(np.cumsum(want))
+
+    def test_line_numbers_count_blank_lines(self, tmp_path, capsys):
+        stream = tmp_path / "xs.txt"
+        stream.write_text("0.5\n\nbogus\n")
+        rc = main(["run", "--epsilon", "1.0", "--input", str(stream),
+                   "--output", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert "line 3: 'bogus'" in capsys.readouterr().err
+
+    def test_only_blank_lines_is_no_stream(self, tmp_path, capsys):
+        stream = tmp_path / "xs.txt"
+        stream.write_text("\n   \n\n")
+        rc = main(["run", "--epsilon", "1.0", "--input", str(stream),
+                   "--output", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert "contains no stream values" in capsys.readouterr().err
+
     def test_out_of_range_value(self, tmp_path, capsys):
         stream = tmp_path / "xs.txt"
         stream.write_text("0.5\n1.5\n")

@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fadecount import mechanisms
 from fadecount.dyadic import floor_log2
 from fadecount.mechanisms import (DOMAIN_INTERVAL, DOMAIN_PAST, DOMAIN_STEP,
                                   DOMAIN_TREE, BaselineCounter, BaselineParams,
@@ -297,9 +301,73 @@ class TestVectorizedRunners:
         assert maxes[0] == mags.max()
         assert mses[0] == np.mean(mags * mags)
 
+    @given(st.integers(1, 3000), st.integers(1, 64),
+           st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.integers(0, 2**64 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_small_chunks_equal_gather_oracle(self, positions, chunk, lam,
+                                              seed):
+        # chunks this small split levels across chunks and pack many levels
+        # into one, at sizes the oracle can check quickly
+        params = MechanismParams(0.8, lam, 0)
+        want = gather_noise_totals(params, positions, seed)
+        with mock.patch.object(mechanisms, "_CHUNK", chunk):
+            got = expiration_noise_totals(params, positions, seed)
+            maxes, mses = expiration_max_and_mse_batch(params, positions,
+                                                       [seed])
+        assert np.array_equal(got, want)
+        mags = np.abs(want[1:])
+        assert maxes[0] == mags.max()
+        assert mses[0] == np.mean(mags * mags)
+
+    @pytest.mark.parametrize("positions", [
+        (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 13) + 5,
+        (1 << 15) + 1])
+    def test_chunk_boundaries_equal_gather_oracle(self, positions):
+        params = MechanismParams(0.8, 2.0, 0)
+        seed = 2**64 - 5
+        assert np.array_equal(expiration_noise_totals(params, positions, seed),
+                              gather_noise_totals(params, positions, seed))
+
+    def test_kernel_scratch_is_bounded(self):
+        # the output plus scratch of about one chunk, not a copy per level
+        positions = 1 << 18
+        tracemalloc.start()
+        try:
+            expiration_noise_totals(MechanismParams(0.8, 1.0), positions, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (positions + 1) + (2 << 20)
+
+    def test_rejects_negative_positions(self):
+        with pytest.raises(ValueError, match="positions"):
+            expiration_noise_totals(MechanismParams(1.0), -3, seed=1)
+
+    def test_batch_rejects_no_positions(self):
+        with pytest.raises(ValueError, match="positions"):
+            expiration_max_and_mse_batch(MechanismParams(1.0), 0, [1])
+
+    def test_batch_seeds_wrap_to_64_bits(self):
+        params = MechanismParams(0.8, 1.0)
+        maxes, mses = expiration_max_and_mse_batch(params, 100,
+                                                   [-1, 2**64 + 3])
+        for i, (seed, wrapped) in enumerate(((-1, 2**64 - 1), (2**64 + 3, 3))):
+            totals = expiration_noise_totals(params, 100, seed)
+            assert np.array_equal(
+                totals, expiration_noise_totals(params, 100, wrapped))
+            mags = np.abs(totals[1:])
+            assert maxes[i] == mags.max()
+            assert mses[i] == np.mean(mags * mags)
+
     def test_no_positions_is_all_zero(self):
         totals = expiration_noise_totals(MechanismParams(1.0), 0, seed=1)
         assert np.array_equal(totals, np.zeros(1))
+
+    def test_run_expiration_leaves_stream_unchanged(self):
+        xs = np.linspace(0.0, 1.0, 300)
+        kept = xs.copy()
+        run_expiration(MechanismParams(0.4, 1.0, 7), xs, seed=2)
+        assert np.array_equal(xs, kept)
 
     def test_run_expiration_zero_stream_is_noise(self):
         params = MechanismParams(0.4, 1.0, 0)

@@ -80,6 +80,40 @@ class TestPrfUniform:
         assert arr[0] == prf_uniform(seed, (1, lvl, k))
 
 
+def unmix64_reference(h):
+    """The key x with mix64_reference(x) == h: each finalizer step undone."""
+    M = (1 << 64) - 1
+
+    def unshift(h, s):
+        x = h
+        for _ in range(64 // s + 1):
+            x = h ^ (x >> s)
+        return x
+
+    h = unshift(h, 31)
+    h = (h * pow(0x94D049BB133111EB, -1, 1 << 64)) & M
+    h = unshift(h, 27)
+    h = (h * pow(0xBF58476D1E3524B5, -1, 1 << 64)) & M
+    h = unshift(h, 30)
+    return (h - 0x9E3779B97F4A7C15) & M
+
+
+class TestUniformRangeEnds:
+    @pytest.mark.parametrize("m", [0, 1, 1 << 51, (1 << 52) - 1])
+    @pytest.mark.parametrize("low", [0, (1 << 12) - 1])
+    def test_lanes_exact_at_top_bits(self, m, low):
+        # a key whose finalizer output has top 52 bits m, for seed 0 and
+        # one key part; the array lane takes the same part as its index
+        key = unmix64_reference((m << 12) | low)
+        assert mix64_reference(key) >> 12 == m
+        want = (m + 0.5) * 2.0**-52
+        scalar = prf_uniform(0, (key,))
+        arr = prf_uniform_array(0, (), np.array([key], dtype=np.uint64))
+        assert scalar.hex() == want.hex()
+        assert float(arr[0]).hex() == want.hex()
+        assert 0.0 < arr[0] < 1.0
+
+
 class TestLaplaceSample:
     def test_median_is_zero(self):
         assert laplace_sample(3.0, 0.5) == 0.0
