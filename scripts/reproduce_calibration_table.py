@@ -3,13 +3,15 @@
 
 For both horizons (10^3 and 10^6) this prints epsilon for the expiration
 mechanism at level exponents 1..3, eps_cur for the windowed baseline at the
-fixed 0.1 ratio, and the loss-minimizing ratio found by the bounded search.
+fixed 0.1 ratio, and the loss-minimizing ratio (a closed form).
 Everything here is a closed-form or deterministic computation; there is no
 sampling involved.
 """
+import os
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "src"))
 
 from fadecount import calibrate_baseline, calibrate_epsilon, optimal_ratio
 

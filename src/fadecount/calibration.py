@@ -9,7 +9,7 @@ error, then compare privacy" cheap.
 
 Also here: the high-probability additive error bound for the expiration
 counter (delay + concentration of its per-level noises), and the baseline's
-optimal budget-ratio search.
+loss-minimizing budget ratio, in closed form.
 """
 
 from __future__ import annotations
@@ -65,23 +65,28 @@ def popcount_total(m: int) -> int:
     return total
 
 
-def analytic_mse_baseline(params: BaselineParams, T: int) -> float:
-    """Average noise variance of the baseline over outputs 1..T.
+def _baseline_unit_sums(window: int, T: int) -> tuple[float, float]:
+    """The baseline's noise variance over outputs 1..T at unit budgets.
 
-    The in-round tree at position s sums popcount(s) nodes of scale
-    k/eps_cur each; outputs beyond the first round add one Lap(1/eps_past)
-    past term.  Popcount totals are exact (closed form), so this is fast
-    even at T = 10^6.
+    Returns (tree, past): the in-round tree at position s sums popcount(s)
+    nodes of scale k, and every output beyond the first round adds one
+    unit-scale past term.  At budgets (eps_cur, eps_past) the total is
+    tree / eps_cur^2 + past / eps_past^2.  Popcount totals are exact
+    (closed form), so this is fast even at T = 10^6.
     """
+    k = BaselineParams(window, 1.0, 1.0).tree_depth
+    full_rounds, rem = divmod(T, window)
+    pops = full_rounds * popcount_total(window) + popcount_total(rem)
+    return 2.0 * k * k * pops, (T - min(T, window)) * 2.0
+
+
+def analytic_mse_baseline(params: BaselineParams, T: int) -> float:
+    """Average noise variance of the baseline over outputs 1..T (exact)."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    w = params.window
-    k = params.tree_depth
-    full_rounds, rem = divmod(T, w)
-    pops = full_rounds * popcount_total(w) + popcount_total(rem)
-    tree = 2.0 * k * k * pops / (params.eps_cur * params.eps_cur)
-    past = (T - min(T, w)) * 2.0 / (params.eps_past * params.eps_past)
-    return (tree + past) / T
+    tree, past = _baseline_unit_sums(params.window, T)
+    eps_cur, eps_past = params.eps_cur, params.eps_past
+    return (tree / (eps_cur * eps_cur) + past / (eps_past * eps_past)) / T
 
 
 @dataclass(frozen=True)
@@ -151,99 +156,31 @@ def calibrate_baseline(target_mse: float, T: int, window: int,
     return BaselineCalibration(eps_cur, eps_past, achieved, T, target_mse)
 
 
-def _minimize_bounded(f, lo: float, hi: float, xatol: float,
-                      max_calls: int = 500) -> tuple[float, bool]:
-    """Brent's bounded minimization of a scalar function on [lo, hi].
-
-    Golden-section steps, replaced by the minimum of the parabola through
-    the last three points wherever that parabola is trusted.  Returns
-    (argmin, converged); converged is False when max_calls evaluations did
-    not bring the bracket below xatol.  The iterates are those of scipy's
-    minimize_scalar(method="bounded"), float for float, so the optimal
-    ratios are unchanged; importing scipy.optimize for it costs about 0.5 s
-    and 48 MB of resident memory per process (scipy 1.17, 2-core Xeon).
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    # x: best point so far, w: second best, v: the previous w
-    x = w = v = a + golden * (b - a)
-    fx = fw = fv = f(x)
-    calls = 1
-    step = prev_step = 0.0
-    while True:
-        if calls >= max_calls:
-            return x, False
-        mid = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(x) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - mid) <= tol2 - 0.5 * (b - a):
-            return x, True
-        parabolic = False
-        if abs(prev_step) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, prev_step = prev_step, step
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                step = p / q
-                u = x + step
-                if u - a < tol2 or b - u < tol2:
-                    step = tol1 if mid >= x else -tol1
-        if not parabolic:
-            prev_step = (a if x >= mid else b) - x
-            step = golden * prev_step
-        u = x + (1.0 if step >= 0 else -1.0) * max(abs(step), tol1)
-        fu = f(u)
-        calls += 1
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
 def optimal_ratio(target_mse: float, T: int,
                   window: int) -> tuple[float, BaselineCalibration]:
     """Budget ratio minimizing eps_cur + eps_past*(N-1) at fixed MSE.
 
     N = ceil(T/window) rounds: an input's budget is spent once in its own
     round's tree and once per every later round's past release, so the
-    worst total loss over the horizon is eps_cur + eps_past*(N-1).  The
-    minimization is 1-d and smooth; a bounded scalar search to well below
-    1e-6 ratio tolerance is plenty.
+    worst total loss over the horizon is eps_cur + eps_past*(N-1).
+
+    The minimum has a closed form.  With the unit-budget sums (A, B) of
+    _baseline_unit_sums, calibrating to MSE m at ratio rho gives
+    eps_cur(rho) = sqrt((A + B/rho^2) / (T*m)), so the objective is
+    eps_cur(rho) * (1 + rho*(N-1)).  Setting the derivative of its log to 0,
+
+        -B/rho^3 / (A + B/rho^2) + (N-1) / (1 + rho*(N-1)) = 0
+        <=>  (N-1) * A * rho^3 = B,
+
+    so rho* = (B / ((N-1)*A))^(1/3), the only stationary point on rho > 0;
+    the objective tends to infinity at both ends, so it is the minimum.
+    window < T makes N >= 2 and B > 0.
     """
     if not window < T:
         raise ValueError(f"need window < T, got window={window}, T={T}")
-    lo, hi = 1e-6, 1.0
+    tree, past = _baseline_unit_sums(window, T)
     rounds = -(-T // window)
-
-    def objective(rho: float) -> float:
-        cal = calibrate_baseline(target_mse, T, window, rho)
-        return cal.eps_cur + cal.eps_past * (rounds - 1)
-
-    rho, converged = _minimize_bounded(objective, lo, hi, xatol=1e-9)
-    if not converged or rho < lo * 1.5 or rho > hi * 0.999:
-        raise RuntimeError(
-            "no interior minimum bracketed for the budget ratio: "
-            f"argmin={rho:.3e} on [{lo}, {hi}], objective there "
-            f"{objective(rho):.6g}, at bounds {objective(lo):.6g} / "
-            f"{objective(hi):.6g}")
+    rho = (past / ((rounds - 1) * tree)) ** (1.0 / 3.0)
     return rho, calibrate_baseline(target_mse, T, window, rho)
 
 

@@ -28,7 +28,8 @@ from .calibration import (analytic_mse_baseline, analytic_mse_expiration,
                           calibrate_baseline, calibrate_epsilon,
                           optimal_ratio)
 from .mechanisms import (BaselineCounter, BaselineParams, ExpirationCounter,
-                         MechanismParams, SeededNoise, SimpleCounter)
+                         LogarithmicCounter, MechanismParams, SeededNoise,
+                         SimpleCounter)
 from .privacy_audit import (baseline_loss_curve, empirical_loss_curve,
                             published_loss_bound)
 
@@ -90,7 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--window", type=int)
     p_cal.add_argument("--ratio", type=float, default=0.1)
     p_cal.add_argument("--optimal-ratio", action="store_true",
-                       help="search the loss-minimizing baseline ratio")
+                       help="use the loss-minimizing baseline ratio "
+                            "(closed form)")
     p_cal.add_argument("--mse", type=float, required=True)
     p_cal.add_argument("--t-max", type=int, required=True)
 
@@ -192,10 +194,10 @@ def _make_counter(args, parser):
         params = _checked(parser, args, MechanismParams, args.epsilon)
         return SimpleCounter(params, SeededNoise(args.seed))
     if mech == "log":
-        params = _checked(parser, args, MechanismParams, args.epsilon, 1.0, 0)
-    else:
-        params = _checked(parser, args, MechanismParams, args.epsilon,
-                          args.level_exponent, args.delay)
+        return _checked(parser, args, LogarithmicCounter, args.epsilon,
+                        SeededNoise(args.seed))
+    params = _checked(parser, args, MechanismParams, args.epsilon,
+                      args.level_exponent, args.delay)
     return ExpirationCounter(params, SeededNoise(args.seed))
 
 

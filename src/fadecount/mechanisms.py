@@ -18,7 +18,8 @@ Counters are deliberately generic over the numeric type of the inputs and of
 the noise values handed to them: run them with floats for production, or
 with exact rationals (``fractions.Fraction``) when replaying a run whose
 outputs must be compared bit-for-bit.  Nothing in the update path forces a
-float coercion.
+float coercion; only numpy floating inputs are turned into Python floats,
+which is exact.
 """
 
 from __future__ import annotations
@@ -146,8 +147,15 @@ class ReplayNoise:
 
 
 def _check_input(x):
+    """x, checked to lie in [0,1]; numpy floats become Python floats.
+
+    The conversion is exact, and keeps a float32 stream from dragging the
+    prefix sums (and so the releases) down to float32.  Other types,
+    Fraction included, pass through unchanged.
+    """
     if not 0 <= x <= 1:
         raise ValueError(f"stream values must lie in [0,1], got {x!r}")
+    return float(x) if isinstance(x, np.floating) else x
 
 
 class SimpleCounter:
@@ -164,7 +172,7 @@ class SimpleCounter:
         self._prefix = 0
 
     def step(self, x):
-        _check_input(x)
+        x = _check_input(x)
         self._t += 1
         if self._t == 1:
             out = 0
@@ -193,7 +201,7 @@ class ExpirationCounter:
         self._position = 0          # release position p = t - delay
         self._delayed_sum = 0       # sum of x_1..x_p
         self._buffer = deque()      # the delay most recent inputs
-        self._active = {}           # level -> (interval index, noise value)
+        self._active = {}           # level -> live noise value
         self.redraws = 0
 
     @property
@@ -205,7 +213,7 @@ class ExpirationCounter:
         return len(self._buffer)
 
     def step(self, x):
-        _check_input(x)
+        x = _check_input(x)
         self._t += 1
         delay = self.params.delay
         if delay:
@@ -220,16 +228,14 @@ class ExpirationCounter:
         # levels whose containing interval changed at p: 0..nu2(p)
         refresh = (p & -p).bit_length()  # nu2(p) + 1
         for lvl in range(refresh):
-            k = p >> lvl
-            self._active[lvl] = (
-                k, self.noise.draw((DOMAIN_INTERVAL, lvl, k),
-                                   self.params.level_scale(lvl)))
+            self._active[lvl] = self.noise.draw(
+                (DOMAIN_INTERVAL, lvl, p >> lvl), self.params.level_scale(lvl))
             self.redraws += 1
         # live noise summed in level order, then added to the prefix: the
         # order run_expiration uses, so both paths release identical floats
         # (a plain loop, since sum() compensates floats on Python >= 3.12)
         noise = 0
-        for _k, z in self._active.values():
+        for z in self._active.values():
             noise = noise + z
         return self._delayed_sum + noise
 
@@ -265,7 +271,7 @@ class BaselineCounter:
         self._tree = {}            # (level, node index) -> noise value
 
     def step(self, x):
-        _check_input(x)
+        x = _check_input(x)
         self._t += 1
         w = self.params.window
         r = (self._t + w - 1) // w

@@ -1,10 +1,14 @@
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fadecount.calibration import (BaselineCalibration, CalibrationResult,
-                                   _minimize_bounded, analytic_mse_baseline,
+                                   analytic_mse_baseline,
                                    analytic_mse_expiration, calibrate_baseline,
                                    calibrate_epsilon, error_bound_expiration,
                                    optimal_ratio, popcount_total)
@@ -12,6 +16,9 @@ from fadecount.dyadic import floor_log2
 from fadecount.mechanisms import (BaselineParams, MechanismParams,
                                   expiration_max_and_mse_batch)
 from fadecount.noise import concentration_threshold
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def brute_mse_expiration(params, T):
@@ -95,6 +102,25 @@ class TestAnalyticMseBaseline:
         for T in (1, w, w + 1, 3 * w + 2, 1000):
             assert analytic_mse_baseline(params, T) == \
                 pytest.approx(brute_mse_baseline(params, T), rel=1e-12)
+
+    def test_bit_equal_to_single_formula(self):
+        # the formula before the split into unit-budget sums, verbatim
+        def single_formula(params, T):
+            w = params.window
+            k = params.tree_depth
+            full_rounds, rem = divmod(T, w)
+            pops = full_rounds * popcount_total(w) + popcount_total(rem)
+            tree = 2.0 * k * k * pops / (params.eps_cur * params.eps_cur)
+            past = (T - min(T, w)) * 2.0 / (params.eps_past * params.eps_past)
+            return (tree + past) / T
+
+        for w in (1, 2, 7, 31, 127, 1023):
+            for T in (1, w, w + 1, 3 * w + 2, 1000, 10**6):
+                for eps_cur, eps_past in ((1.0, 1.0), (0.8, 0.08),
+                                          (0.13, 3.7), (5.0, 0.0123)):
+                    params = BaselineParams(w, eps_cur, eps_past)
+                    assert analytic_mse_baseline(params, T) == \
+                        single_formula(params, T)
 
     def test_single_round_has_no_past_noise(self):
         params = BaselineParams(64, 1.0, 1e-9)
@@ -188,15 +214,14 @@ class TestOptimalRatio:
             optimal_ratio(1000.0, 100, 127)
 
 
-class TestMinimizeBounded:
+class TestClosedFormRatio:
     @given(st.floats(10.0, 1e5), st.integers(100, 10**7),
            st.integers(2, 2000))
     @settings(max_examples=60, deadline=None)
-    def test_matches_scipy_bounded_brent(self, mse, T, w):
-        # the scipy minimizer it replaced is the oracle, float for float
+    def test_matches_bounded_search(self, mse, T, w):
+        # scipy's bounded Brent search over the same objective is the oracle
         minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
-        if not w < T:
-            return
+        assume(w < T)
         rounds = -(-T // w)
 
         def objective(r):
@@ -205,22 +230,24 @@ class TestMinimizeBounded:
 
         want = minimize_scalar(objective, bounds=(1e-6, 1.0),
                                method="bounded", options={"xatol": 1e-9})
-        assert _minimize_bounded(objective, 1e-6, 1.0, 1e-9) == \
-            (float(want.x), bool(want.success))
+        rho, cal = optimal_ratio(mse, T, w)
+        assert rho == pytest.approx(float(want.x), rel=1e-6)
+        best = objective(rho)
+        assert best == cal.eps_cur + cal.eps_past * (rounds - 1)
+        assert best <= objective(float(want.x)) * (1 + 1e-12)
+        assert best <= objective(rho * (1 - 1e-3))
+        assert best <= objective(rho * (1 + 1e-3))
 
-    def test_quadratic_and_bounds(self):
-        rho, converged = _minimize_bounded(lambda x: (x - 0.3) ** 2,
-                                           0.0, 1.0, 1e-10)
-        assert converged and rho == pytest.approx(0.3, abs=1e-9)
-        # a minimum outside the interval ends at the nearer bound
-        rho, converged = _minimize_bounded(lambda x: x, 2.0, 5.0, 1e-9)
-        assert converged and rho == pytest.approx(2.0, abs=1e-6)
 
-    def test_reports_exhausted_calls(self):
-        rho, converged = _minimize_bounded(lambda x: (x - 0.3) ** 2,
-                                           0.0, 1.0, 1e-12, max_calls=4)
-        assert not converged
-        assert 0.0 <= rho <= 1.0
+def test_calibration_table_script_matches_golden(tmp_path):
+    # the script's stdout, captured once and kept in tests/data; run from
+    # another directory, so the script finds the package on its own
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_calibration_table.py")],
+        capture_output=True, text=True, cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == \
+        (ROOT / "tests" / "data" / "calibration_table.txt").read_text()
 
 
 class TestErrorBound:

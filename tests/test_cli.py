@@ -126,6 +126,19 @@ class TestRun:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
+    def test_log_is_expiration_at_lambda_one_without_delay(self, tmp_path):
+        outs = []
+        for name, flags in (("log.csv", ["--mechanism", "log"]),
+                            ("exp.csv", ["--mechanism", "expiration",
+                                         "--lambda", "1", "--delay", "0"])):
+            out = tmp_path / name
+            rc = main(["run", *flags, "--epsilon", "0.7",
+                       "--generator", "bernoulli(0.5)", "--t-max", "300",
+                       "--seed", "9", "--output", str(out)])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_baseline_needs_window_args(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--mechanism", "baseline", "--generator", "zeros",
@@ -289,6 +302,10 @@ class TestUsageErrors:
          "cannot write {missing}: No such file or directory"),
         (["figures", "2b", "--output", "{missing_dir}"],
          "cannot create {missing_dir}: Not a directory"),
+        (["run", "--mechanism", "log", "--epsilon", "0", *GEN,
+          "--output", "{out}"], "epsilon must be positive, got 0.0"),
+        (["calibrate", "--mse", "1000", "--window", "0", "--t-max", "100",
+          "--optimal-ratio"], "window must be a positive integer, got 0"),
     ])
     def test_one_line_and_exit_two(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -88,6 +89,32 @@ class TestInputValidation:
         for bad in (-0.1, 1.5, 2):
             with pytest.raises(ValueError):
                 make().step(bad)
+
+    @pytest.mark.parametrize("make", [
+        lambda: SimpleCounter(MechanismParams(0.7), SeededNoise(3)),
+        lambda: ExpirationCounter(MechanismParams(0.7, 2.0, 5), SeededNoise(3)),
+        lambda: BaselineCounter(BaselineParams(31, 0.5, 0.05), SeededNoise(3)),
+    ])
+    def test_float32_stream_releases_as_float64(self, make):
+        xs = np.random.default_rng(8).random(2000).astype(np.float32)
+        c32, c64 = make(), make()
+        outs = [c32.step(x) for x in xs]
+        assert all(type(out) in (int, float) for out in outs)
+        assert outs == [c64.step(x) for x in xs.astype(np.float64).tolist()]
+
+    def test_float32_stream_matches_run_expiration(self):
+        params, seed = MechanismParams(0.7, 2.0, 5), 3
+        xs = np.random.default_rng(8).random(2000).astype(np.float32)
+        c = ExpirationCounter(params, SeededNoise(seed))
+        scalar = np.array([c.step(x) for x in xs], dtype=np.float64)
+        assert np.array_equal(
+            scalar, run_expiration(params, xs.astype(np.float64), seed))
+
+    def test_exact_inputs_pass_through(self):
+        for x in (Fraction(1, 3), 1, 0, True, 0.25):
+            assert mechanisms._check_input(x) is x
+        assert type(mechanisms._check_input(np.float32(0.1))) is float
+        assert mechanisms._check_input(np.float32(0.1)) == float(np.float32(0.1))
 
 
 class TestSimpleCounter:
