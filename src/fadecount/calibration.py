@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .dyadic import floor_log2
-from .mechanisms import BaselineParams, MechanismParams
+from .mechanisms import BaselineParams, MechanismParams, _check_finite
 from .noise import concentration_threshold
 
 _REL_TOL = 1e-9
@@ -129,6 +129,7 @@ class BaselineCalibration:
 def calibrate_epsilon(target_mse: float, T: int, level_exponent: float = 1.0,
                       delay: int = 0) -> CalibrationResult:
     """Find eps with analytic_mse_expiration == target_mse (closed form)."""
+    _check_finite(target_mse=target_mse)
     if target_mse <= 0:
         raise ValueError(f"target_mse must be positive, got {target_mse}")
     unit = analytic_mse_expiration(
@@ -144,6 +145,7 @@ def calibrate_epsilon(target_mse: float, T: int, level_exponent: float = 1.0,
 def calibrate_baseline(target_mse: float, T: int, window: int,
                        ratio: float) -> BaselineCalibration:
     """Find (eps_cur, eps_past = ratio * eps_cur) hitting target_mse."""
+    _check_finite(target_mse=target_mse, ratio=ratio)
     if target_mse <= 0:
         raise ValueError(f"target_mse must be positive, got {target_mse}")
     if ratio <= 0:

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 bad input data, 2 usage errors.  ``audit``,
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import re
 import sys
@@ -31,7 +32,9 @@ from .mechanisms import (BaselineCounter, BaselineParams, ExpirationCounter,
                          LogarithmicCounter, MechanismParams, SeededNoise,
                          SimpleCounter)
 from .privacy_audit import (baseline_loss_curve, empirical_loss_curve,
-                            published_loss_bound)
+                            published_loss_bounds)
+# bench/spans.py traces published_loss_bound under this module's name
+from .privacy_audit import published_loss_bound  # noqa: F401
 
 _FIGURE_IDS = ("2a", "2b", "3", "4", "5a", "5b")
 
@@ -168,6 +171,37 @@ def _checked(parser, args, build, *build_args):
         _usage_error(parser, args, str(exc))
 
 
+# rows formatted and written per block, so memory does not grow with the
+# row count
+_CSV_BLOCK = 1 << 14
+
+
+def _column_text(column: np.ndarray) -> list:
+    """A block of a column as CSV fields: integers as they are (format()
+    prints them like str), floats by repr, each distinct bit pattern
+    formatted once (keyed on the bits, so -0.0 and 0.0 stay apart)."""
+    if column.dtype.kind != "f":
+        return column.tolist()
+    bits, where = np.unique(column.view(np.uint64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                     dtype=object)
+    return texts[where].tolist()
+
+
+def _write_csv(fh, header: str, columns) -> None:
+    """Write header and one row per index of equal-length numeric columns
+    (int64 or float64); a None column is an empty field in every row."""
+    columns = [None if c is None else np.asarray(c) for c in columns]
+    size = len(next(c for c in columns if c is not None))
+    row = ",".join(["{}"] * len(columns)) + "\n"
+    fh.write(header + "\n")
+    for lo in range(0, size, _CSV_BLOCK):
+        n = min(_CSV_BLOCK, size - lo)
+        fields = [itertools.repeat("", n) if c is None
+                  else _column_text(c[lo:lo + n]) for c in columns]
+        fh.write("".join(map(row.format, *fields)))
+
+
 def _open_output(parser, args):
     try:
         return open(args.output, "w")
@@ -245,7 +279,7 @@ def cmd_audit(args, parser) -> int:
         else:
             parser.error("baseline audit needs --eps-cur/--eps-past or --mse")
         curve = baseline_loss_curve(params, d_values, horizon)
-        theoretical = [""] * len(d_values)
+        theoretical = None
     else:
         if args.mse is not None:
             cal = _checked(parser, args, calibrate_epsilon, args.mse,
@@ -258,14 +292,10 @@ def cmd_audit(args, parser) -> int:
         params = _checked(parser, args, MechanismParams, eps,
                           args.level_exponent, args.delay)
         curve = empirical_loss_curve(params, d_values, horizon)
-        theoretical = [repr(published_loss_bound(int(d), params))
-                       for d in d_values]
-    env = curve.envelope
+        theoretical = published_loss_bounds(params, d_values)
     with _open_output(parser, args) as fh:
-        fh.write("d,loss_empirical,loss_envelope,loss_theoretical\n")
-        for i, d in enumerate(d_values):
-            fh.write(f"{d},{float(curve.loss[i])!r},{float(env[i])!r},"
-                     f"{theoretical[i]}\n")
+        _write_csv(fh, "d,loss_empirical,loss_envelope,loss_theoretical",
+                   [d_values, curve.loss, curve.envelope, theoretical])
     return 0
 
 
@@ -307,9 +337,7 @@ def _figure_d_grid(d_max: int) -> np.ndarray:
 
 def _write_series(path: str, d_values, losses) -> None:
     with open(path, "w") as fh:
-        fh.write("d,loss\n")
-        for d, v in zip(d_values, losses):
-            fh.write(f"{int(d)},{float(v)!r}\n")
+        _write_csv(fh, "d,loss", [d_values, losses])
 
 
 def cmd_figures(args, parser) -> int:
@@ -333,10 +361,9 @@ def cmd_figures(args, parser) -> int:
         _write_series(os.path.join(outdir, f"fig{figure}_{tag}.csv"),
                       d_values, curve.envelope)
         if theoretical:
-            theo = [published_loss_bound(int(d), params) for d in d_values]
             _write_series(
                 os.path.join(outdir, f"fig{figure}_theoretical_{tag}.csv"),
-                d_values, theo)
+                d_values, published_loss_bounds(params, d_values))
 
     def baseline_series(window: int, tag: str, ratio=0.1, optimal=False):
         if optimal:

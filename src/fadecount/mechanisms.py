@@ -42,6 +42,13 @@ DOMAIN_TREE = 3       # (DOMAIN_TREE, round, level, node)       baseline tree
 DOMAIN_PAST = 4       # (DOMAIN_PAST, round)                    baseline past
 
 
+def _check_finite(**values):
+    """Reject a NaN or infinite parameter, by name (ValueError)."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class MechanismParams:
     """Parameters of the delayed level-budgeted counter.
@@ -60,6 +67,8 @@ class MechanismParams:
     delay: int = 0
 
     def __post_init__(self):
+        _check_finite(epsilon=self.epsilon,
+                      level_exponent=self.level_exponent)
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.level_exponent < 0:
@@ -84,6 +93,7 @@ class BaselineParams:
     def __post_init__(self):
         if self.window < 1 or int(self.window) != self.window:
             raise ValueError(f"window must be a positive integer, got {self.window}")
+        _check_finite(eps_cur=self.eps_cur, eps_past=self.eps_past)
         if self.eps_cur <= 0 or self.eps_past <= 0:
             raise ValueError("both eps values must be positive")
 

@@ -11,7 +11,8 @@ stream.  Three curves matter for the expiration counter:
 * ``closed_form_loss_bound`` / ``published_loss_bound`` — the closed-form
   relaxation with continuous log2, and its pointwise max with the exact
   sum (the published curve: a bound must dominate the exact sum, and the
-  continuous form can dip below it at isolated d).
+  continuous form can dip below it at isolated d);
+  ``published_loss_bounds`` gives the same floats over a whole grid.
 
 ``verify_coupling`` turns the privacy argument into a test: run the counter,
 shift the noise of the decomposition covering [j, tau-B] by the input
@@ -62,7 +63,7 @@ class PrivacyLossCurve:
             raise ValueError("curve must be nonempty")
         if np.any(np.diff(self.d) <= 0):
             raise ValueError("d must be strictly increasing")
-        if np.any(self.loss < 0):
+        if not np.all(self.loss >= 0):
             raise ValueError("losses must be nonnegative")
 
     @property
@@ -123,6 +124,39 @@ def published_loss_bound(d: int, params: MechanismParams) -> float:
     return max(closed_form_loss_bound(d, params), exact)
 
 
+def published_loss_bounds(params: MechanismParams, d_values) -> np.ndarray:
+    """published_loss_bound at every d of a grid, bit for bit.
+
+    The exact level sum depends only on L = floor_log2(d - delay + 1), so
+    it is summed once per level the grid reaches, at d = delay + 2^L - 1.
+    The closed form stays a Python expression per d: numpy's log2 and
+    power do not always round like math.log2 and float ** do.
+    """
+    d = np.asarray(d_values, dtype=np.int64)
+    live = d >= params.delay
+    bounds = np.zeros(d.shape)
+    if not live.any():
+        return bounds
+    d = d[live]
+    levels = np.searchsorted(_POWERS_OF_TWO, d - params.delay + 1,
+                             side="right") - 1
+    table = np.zeros(int(levels.max()) + 1)
+    for lvl in np.unique(levels).tolist():
+        table[lvl] = exact_loss_bound(params.delay + (1 << lvl) - 1, params)
+    live_bounds = table[levels]
+    # with level_exponent 0 the closed form needs n >= 2, i.e. d > delay
+    singular = params.delay if params.level_exponent == 0 else -1
+    # the max with the closed form, in Python lists a block at a time so
+    # they stay small on long grids
+    for lo in range(0, d.size, _BLOCK):
+        live_bounds[lo:lo + _BLOCK] = [
+            e if v == singular else max(closed_form_loss_bound(v, params), e)
+            for v, e in zip(d[lo:lo + _BLOCK].tolist(),
+                            live_bounds[lo:lo + _BLOCK].tolist())]
+    bounds[live] = live_bounds
+    return bounds
+
+
 # ---------------------------------------------------------------------------
 # worst-case losses: one exact kernel per mechanism, over a whole d grid
 
@@ -131,6 +165,10 @@ _POWERS_OF_TWO = np.int64(1) << np.arange(63, dtype=np.int64)
 # grid points (expiration) or (d, s) cells (baseline) per numpy pass; keeps
 # the temporaries of a long grid to about a megabyte
 _BLOCK = 1 << 14
+# intervals a level adds, by [u_bit, carry, class of m >> level]: the class
+# is m >> level itself while it is 0 or 1, then 2 if even and 3 if odd
+_LEVEL_COUNTS = np.array([[[0, 0, 1, 2], [0, 1, 2, 1]],
+                          [[0, 0, 1, 0], [0, 1, 0, 1]]])
 
 
 def _worst_decomposition_costs(n: np.ndarray, t_max: int,
@@ -149,35 +187,49 @@ def _worst_decomposition_costs(n: np.ndarray, t_max: int,
     Costs are added in level order, as in dyadic.decomposition_costs, and
     float addition is monotone, so keeping the best partial cost per state
     gives the same float as a search over every position.
+
+    Each u-bit maps the states without a scatter: with m_bit and cap_bit
+    the level's bits of m and cap, u-bit 0 sends (carry, fits) to
+    (m_bit & carry, cap_bit | fits) and u-bit 1 to (m_bit | carry,
+    cap_bit & fits).  Every such map is the identity or merges two states.
+    Merging fits before adding the gain gives the same floats, again
+    because addition is monotone.
     """
     levels = np.searchsorted(_POWERS_OF_TWO, n, side="right")
     m = n + 1
     # t_max may exceed int64; only its low `levels` bits can matter
     cap = np.minimum(_POWERS_OF_TWO[levels], min(t_max, 1 << 62)) - 1
-    columns = np.arange(n.size)
-    # best[2*carry + fits]: best cost so far per state, -inf if unreachable;
+    # best[carry, fits]: best cost so far per state, -inf if unreachable;
     # before any bit the carry is 0 and the (empty) low bits fit
-    best = np.full((4, n.size), -np.inf)
-    best[1] = 0.0
+    best = np.full((2, 2, n.size), -np.inf)
+    best[0, 1] = 0.0
     for lvl in range(int(levels.max())):
         weight = (1.0 + lvl) ** (level_exponent - 1.0)
         m_high = m >> lvl
-        m_bit = m_high & 1
-        cap_bit = (cap >> lvl) & 1
-        nxt = np.full(4 * n.size, -np.inf)
-        for carry in (0, 1):
-            active = m_high + carry >= 2
-            for u_bit in (0, 1):
-                total = u_bit + m_bit + carry
-                gain = weight * (active * ((u_bit == 0) + (total & 1)))
-                for fits in (0, 1):
-                    new_fits = np.where(u_bit == cap_bit, fits,
-                                        u_bit < cap_bit)
-                    state = 2 * (total >> 1) + new_fits
-                    np.maximum.at(nxt, state * n.size + columns,
-                                  best[2 * carry + fits] + gain)
-        best = nxt.reshape(best.shape)
-    return np.maximum(best[1], best[3])
+        m_odd = m_high & 1
+        # gain[u_bit, carry] = weight * (left + right intervals at this level)
+        gain = (weight * _LEVEL_COUNTS).take(
+            np.minimum(m_high, m_odd + 2), axis=2)
+        m_bit = m_odd.astype(bool)
+        cap_bit = ((cap >> lvl) & 1).astype(bool)
+        either = best.max(axis=1)
+        # u-bit 0: fits' = cap_bit | fits, so a 1 in cap merges both fits
+        u0 = best.copy()
+        np.copyto(u0[:, 0], -np.inf, where=cap_bit)
+        np.copyto(u0[:, 1], either, where=cap_bit)
+        u0 += gain[0, :, None]
+        # u-bit 1: fits' = cap_bit & fits, so a 0 in cap merges both fits
+        u1 = best
+        np.copyto(u1[:, 0], either, where=~cap_bit)
+        np.copyto(u1[:, 1], -np.inf, where=~cap_bit)
+        u1 += gain[1, :, None]
+        # carry' is 0 for u-bit 0 at carry 0, 1 for u-bit 1 at carry 1, and
+        # m_bit for the two mixed cases
+        mixed = np.maximum(u0[1], u1[0])
+        best = np.empty_like(u0)
+        np.maximum(u0[0], np.where(m_bit, -np.inf, mixed), out=best[0])
+        np.maximum(u1[1], np.where(m_bit, mixed, -np.inf), out=best[1])
+    return np.maximum(best[0, 1], best[1, 1])
 
 
 def _expiration_losses(params: MechanismParams, d_values,

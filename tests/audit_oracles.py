@@ -3,12 +3,14 @@
 The package computes worst-case losses with exact kernels (a carry DP over
 the bits of the entry position for the expiration counter, per-side tree
 maxima for the baseline).  The searches those kernels replaced live here,
-unchanged, so the tests can hold the kernels to them.
+unchanged, so the tests can hold the kernels to them; so does the DP's
+first, scatter-based form, which reaches n far beyond any search.
 """
 
 import numpy as np
 
 from fadecount.dyadic import decomposition_costs, floor_log2
+from fadecount.privacy_audit import _POWERS_OF_TWO
 
 
 def decomposition_level_counts(length: int, positions: np.ndarray,
@@ -87,3 +89,41 @@ def search_loss_baseline(d: int, params, horizon: int):
         if best is None or value > best:
             best = value
     return best
+
+
+def scatter_decomposition_costs(n: np.ndarray, t_max: int,
+                                level_exponent: float) -> np.ndarray:
+    """The carry DP as first written: every candidate scattered into its
+    target state by np.maximum.at.
+
+    Same contract as privacy_audit._worst_decomposition_costs, which now
+    makes each level's transitions directly; n must be below 2^62.
+    """
+    levels = np.searchsorted(_POWERS_OF_TWO, n, side="right")
+    m = n + 1
+    # t_max may exceed int64; only its low `levels` bits can matter
+    cap = np.minimum(_POWERS_OF_TWO[levels], min(t_max, 1 << 62)) - 1
+    columns = np.arange(n.size)
+    # best[2*carry + fits]: best cost so far per state, -inf if unreachable;
+    # before any bit the carry is 0 and the (empty) low bits fit
+    best = np.full((4, n.size), -np.inf)
+    best[1] = 0.0
+    for lvl in range(int(levels.max())):
+        weight = (1.0 + lvl) ** (level_exponent - 1.0)
+        m_high = m >> lvl
+        m_bit = m_high & 1
+        cap_bit = (cap >> lvl) & 1
+        nxt = np.full(4 * n.size, -np.inf)
+        for carry in (0, 1):
+            active = m_high + carry >= 2
+            for u_bit in (0, 1):
+                total = u_bit + m_bit + carry
+                gain = weight * (active * ((u_bit == 0) + (total & 1)))
+                for fits in (0, 1):
+                    new_fits = np.where(u_bit == cap_bit, fits,
+                                        u_bit < cap_bit)
+                    state = 2 * (total >> 1) + new_fits
+                    np.maximum.at(nxt, state * n.size + columns,
+                                  best[2 * carry + fits] + gain)
+        best = nxt.reshape(best.shape)
+    return np.maximum(best[1], best[3])

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,17 +11,26 @@ from fadecount.dyadic import decompose, floor_log2
 from fadecount.mechanisms import (DOMAIN_INTERVAL, BaselineParams,
                                   ExpirationCounter, MechanismParams,
                                   RecordingNoise, SeededNoise)
+from fadecount import privacy_audit
 from fadecount.privacy_audit import (CouplingReport, PrivacyLossCurve,
+                                     _worst_decomposition_costs,
                                      baseline_loss_curve,
                                      closed_form_loss_bound, coupling_shift,
                                      empirical_loss_baseline,
                                      empirical_loss_curve,
                                      empirical_loss_expiration,
                                      exact_loss_bound, lower_bound_check,
-                                     published_loss_bound, verify_coupling)
+                                     published_loss_bound,
+                                     published_loss_bounds, verify_coupling)
 
-from audit_oracles import (search_loss_baseline, search_loss_expiration,
-                           worst_position_search_bound)
+from audit_oracles import (scatter_decomposition_costs, search_loss_baseline,
+                           search_loss_expiration, worst_position_search_bound)
+
+LAMBDAS = [0.0, 0.5, 1.0, 2.0, 3.0]
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 class TestPrivacyLossCurve:
@@ -44,6 +54,8 @@ class TestPrivacyLossCurve:
             PrivacyLossCurve([0, 1], [1.0, -1.0])     # negative loss
         with pytest.raises(ValueError):
             PrivacyLossCurve([], [])
+        with pytest.raises(ValueError, match="nonnegative"):
+            PrivacyLossCurve([0, 1], [1.0, float("nan")])
 
 
 class TestExactLossBound:
@@ -116,6 +128,77 @@ class TestClosedFormBound:
         p1 = MechanismParams(1.0, 1.0, 0)
         assert all(closed_form_loss_bound(d, p1) >= exact_loss_bound(d, p1)
                    for d in range(1, 1000))
+
+
+class TestPublishedLossBounds:
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_bit_equal_to_per_d(self, lam):
+        # the delay regime, n = 1, and n = 2^k - 1, 2^k, 2^k + 1 up to 2^62
+        for delay in range(21):
+            p = MechanismParams(0.37, lam, delay)
+            ds = set(range(delay + 40))
+            for k in range(1, 63):
+                ds.update(delay + n - 1 for n in (2**k - 1, 2**k, 2**k + 1))
+            ds = sorted(ds)
+            got = published_loss_bounds(p, ds)
+            assert got.dtype == np.float64
+            assert np.array_equal(
+                bits(got), bits([published_loss_bound(d, p) for d in ds]))
+
+    @given(st.lists(st.integers(0, 10**7), min_size=1, max_size=30),
+           st.sampled_from(LAMBDAS), st.integers(0, 20), st.integers(1, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_any_grid_across_blocks(self, ds, lam, delay, block):
+        # unsorted, repeated d, and blocks of 1..7 points
+        p = MechanismParams(1.3, lam, delay)
+        with mock.patch.object(privacy_audit, "_BLOCK", block):
+            got = published_loss_bounds(p, ds)
+        assert np.array_equal(
+            bits(got), bits([published_loss_bound(d, p) for d in ds]))
+
+    def test_all_in_delay_regime(self):
+        p = MechanismParams(1.0, 0.0, 5)
+        assert published_loss_bounds(p, [0, 4, 2]).tolist() == [0.0] * 3
+
+
+class TestScatterFreeDP:
+    @given(st.lists(st.one_of(st.integers(1, 5000),
+                              st.integers(1, (1 << 62) - 1)),
+                    min_size=1, max_size=40),
+           st.one_of(st.integers(1, 64), st.integers(1, 1 << 63)),
+           st.sampled_from(LAMBDAS))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scatter_dp(self, ns, t_max, lam):
+        # the search oracle reaches only small n; the scatter DP any n < 2^62
+        n = np.array(ns, dtype=np.int64)
+        assert np.array_equal(_worst_decomposition_costs(n, t_max, lam),
+                              scatter_decomposition_costs(n, t_max, lam))
+
+    @given(st.lists(st.integers(0, 1 << 40), min_size=1, max_size=30,
+                    unique=True),
+           st.sampled_from(LAMBDAS), st.sampled_from([0, 1, 16]),
+           st.integers(1, 1 << 41), st.integers(1, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_curve_across_blocks(self, ds, lam, delay, t_max, block):
+        p = MechanismParams(0.3, lam, delay)
+        ds = np.array(sorted(ds), dtype=np.int64)
+        live = ds >= delay
+        want = np.zeros(ds.shape)
+        if live.any():
+            want[live] = p.epsilon * scatter_decomposition_costs(
+                ds[live] - delay + 1, t_max, lam)
+        with mock.patch.object(privacy_audit, "_BLOCK", block):
+            got = empirical_loss_curve(p, ds, t_max).loss
+        assert np.array_equal(got, want)
+
+    def test_long_grid(self):
+        # 3 * 2^14 points in one call, t_max below and above their periods
+        n = np.arange(1, 3 * (1 << 14) + 1, dtype=np.int64)
+        for lam in LAMBDAS:
+            for t_max in (5, 40000, 10**18):
+                assert np.array_equal(
+                    _worst_decomposition_costs(n, t_max, lam),
+                    scatter_decomposition_costs(n, t_max, lam))
 
 
 class TestEmpiricalLossExpiration:

@@ -1,10 +1,12 @@
 import csv
+import io
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from fadecount import cli
 from fadecount.cli import main
 from fadecount.mechanisms import (BaselineParams, MechanismParams,
                                   run_expiration)
@@ -278,6 +280,28 @@ class TestFigures:
         assert exc.value.code == 2
 
 
+class TestCsvWriter:
+    @pytest.mark.parametrize("block", range(1, 8))
+    def test_matches_per_element_repr(self, monkeypatch, block):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        ds = np.arange(12, dtype=np.int64) * 7
+        # -0.0 and 0.0 in one column, a subnormal, repeats across blocks
+        a = np.array([0.0, -0.0, 5e-324, 0.1, 0.0, 1 / 3, -0.0, 1e300,
+                      2.5e-310, 0.1, 0.30000000000000004, -7.0])
+        b = np.cumsum(a)[::-1].copy()
+        out = io.StringIO()
+        cli._write_csv(out, "d,a,b,none", [ds, a, b, None])
+        want = "d,a,b,none\n" + "".join(
+            f"{int(d)},{float(x)!r},{float(y)!r},\n"
+            for d, x, y in zip(ds, a, b))
+        assert out.getvalue() == want
+
+    def test_empty_columns_write_only_the_header(self):
+        out = io.StringIO()
+        cli._write_csv(out, "d,loss", [np.arange(0), np.zeros(0)])
+        assert out.getvalue() == "d,loss\n"
+
+
 class TestUsageErrors:
     GEN = ["--generator", "zeros", "--t-max", "5"]
 
@@ -306,6 +330,28 @@ class TestUsageErrors:
           "--output", "{out}"], "epsilon must be positive, got 0.0"),
         (["calibrate", "--mse", "1000", "--window", "0", "--t-max", "100",
           "--optimal-ratio"], "window must be a positive integer, got 0"),
+        (["run", "--epsilon", "nan", *GEN, "--output", "{out}"],
+         "epsilon must be finite, got nan"),
+        (["audit", "--epsilon", "nan", "--d-max", "10", "--output", "{out}"],
+         "epsilon must be finite, got nan"),
+        (["audit", "--epsilon", "inf", "--d-max", "10", "--output", "{out}"],
+         "epsilon must be finite, got inf"),
+        (["audit", "--mse", "nan", "--d-max", "10", "--output", "{out}"],
+         "target_mse must be finite, got nan"),
+        (["audit", "--epsilon", "1", "--lambda", "nan", "--d-max", "10",
+          "--output", "{out}"], "level_exponent must be finite, got nan"),
+        (["audit", "--mse", "1000", "--lambda", "nan", "--d-max", "10",
+          "--output", "{out}"], "level_exponent must be finite, got nan"),
+        (["calibrate", "--mse", "nan", "--t-max", "100"],
+         "target_mse must be finite, got nan"),
+        (["calibrate", "--mse", "1000", "--window", "10", "--t-max", "100",
+          "--ratio", "inf"], "ratio must be finite, got inf"),
+        (["run", "--mechanism", "baseline", "--window", "4", "--eps-cur",
+          "inf", "--eps-past", "0.1", *GEN, "--output", "{out}"],
+         "eps_cur must be finite, got inf"),
+        (["audit", "--mechanism", "baseline", "--window", "4", "--eps-cur",
+          "1", "--eps-past", "nan", "--d-max", "10", "--output", "{out}"],
+         "eps_past must be finite, got nan"),
     ])
     def test_one_line_and_exit_two(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -35,6 +36,12 @@ class TestParams:
         MechanismParams(1.0, level_exponent=0.0)  # boundary case is allowed
         with pytest.raises(ValueError):
             MechanismParams(1.0, level_exponent=-0.5)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^epsilon must be finite"):
+                MechanismParams(bad)
+            with pytest.raises(ValueError,
+                               match="^level_exponent must be finite"):
+                MechanismParams(1.0, bad)
 
     def test_level_scale(self):
         p = MechanismParams(0.5, level_exponent=3.0)
@@ -53,6 +60,11 @@ class TestParams:
             BaselineParams(8, 0.0, 0.1)
         with pytest.raises(ValueError):
             BaselineParams(8, 1.0, 0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^eps_cur must be finite"):
+                BaselineParams(8, bad, 0.1)
+            with pytest.raises(ValueError, match="^eps_past must be finite"):
+                BaselineParams(8, 1.0, bad)
 
     def test_tree_depth(self):
         assert BaselineParams(1, 1.0, 1.0).tree_depth == 1
