@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 bad input data, 2 usage errors.  ``audit``,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import re
@@ -43,6 +44,9 @@ class _InputError(Exception):
     """Bad stream data (exit code 1), as opposed to bad usage (exit code 2)."""
 
 
+# parse_args writes into a fresh namespace and leaves the parser as it was,
+# so one parser serves every main() call of a process
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fadecount",
@@ -315,6 +319,8 @@ def cmd_calibrate(args, parser) -> int:
         print(f"eps_past = {sig4(cal.eps_past)} ({cal.eps_past!r})")
         print(f"achieved_mse = {cal.achieved_mse!r}")
     else:
+        if args.optimal_ratio:
+            _usage_error(parser, args, "--optimal-ratio needs --window")
         cal = _checked(parser, args, calibrate_epsilon, args.mse, args.t_max,
                        args.level_exponent, args.delay)
         print(f"epsilon = {sig4(cal.epsilon)} ({cal.epsilon!r})")

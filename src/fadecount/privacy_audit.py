@@ -162,8 +162,8 @@ def published_loss_bounds(params: MechanismParams, d_values) -> np.ndarray:
 
 # 2^l for every level an int64 range length can have
 _POWERS_OF_TWO = np.int64(1) << np.arange(63, dtype=np.int64)
-# grid points (expiration) or (d, s) cells (baseline) per numpy pass; keeps
-# the temporaries of a long grid to about a megabyte
+# grid points per numpy pass; keeps the temporaries of a long grid to about
+# a megabyte
 _BLOCK = 1 << 14
 # intervals a level adds, by [u_bit, carry, class of m >> level]: the class
 # is m >> level itself while it is 0 or 1, then 2 if even and 3 if odd
@@ -242,6 +242,10 @@ def _expiration_losses(params: MechanismParams, d_values,
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     d = np.asarray(d_values, dtype=np.int64)
+    # the DP's level tables stop at 2^62
+    if d.size and int(d.max()) - params.delay + 1 >= 1 << 62:
+        raise ValueError("d - delay + 1 must be below 2^62, got "
+                         f"{int(d.max()) - params.delay + 1}")
     loss = np.zeros(d.shape)
     for lo in range(0, d.size, _BLOCK):
         block = d[lo:lo + _BLOCK]
@@ -275,18 +279,30 @@ def empirical_loss_curve(params: MechanismParams, d_values,
 def _baseline_tree_maxima(params: BaselineParams, d_values, horizon: int):
     """The two candidate worst cases of the baseline at every d of a grid.
 
-    An input at round position s <= min(window, horizon) is charged for
-    every tree node containing s that ends inside the window by time s+d,
-    and for past = (s+d-1) // window later rounds.  Over one round, past is
-    p = d // window up to position split = window - d % window and p+1
-    after it.  At fixed past the loss grows with the tree count, so the
-    worst case is the largest tree count on either side:
+    An input at round position s <= width = min(window, horizon) is charged
+    for every tree node containing s that ends inside the window by time
+    s+d, and for past = (s+d-1) // window later rounds.  Over one round,
+    past is p = d // window up to position split = window - d % window and
+    p+1 after it.  At fixed past the loss grows with the tree count, so the
+    worst case is the largest tree count on either side.  Both have a
+    closed form in the k = tree_depth levels, where 2^(k-1) <= window:
 
-    * after split, s+d > window, so every node ending inside the window
-      counts; node ends only grow with s, so position split+1 is the worst;
-    * up to split, the counts are those of min(d, window-1) (they no longer
-      change once d >= window-1), counted in integer blocks of (d, s) cells
-      and maximized by a running max over s.
+    * up to split: the level-l node holding s ends at ceil(s/2^l)*2^l, so
+      it counts once d reaches its slack (-s) mod 2^l, if it ends inside
+      the window.  End and slack are nondecreasing in l, so the counting
+      levels form a prefix, and the largest count over s <= S =
+      min(split, width) is #{l : min over s <= S of slack_l(s) <= d}.
+      That minimum is max(0, 2^l - S), at s = min(S, 2^l), which lies in
+      the first level-l node; it ends at 2^l <= window, so the window
+      never cuts it.  Hence tree_p = #{l < k : 2^l <= S + d}.  All k
+      levels count once d >= window - 1, so d is capped there (which
+      keeps S + d inside int64).
+    * after split: s+d > window, so every node ending inside the window
+      counts; node ends only grow with s, so position split+1 is the
+      worst.  Its level-l node ends inside the window iff
+      split >> l < window >> l, which, as split < window, holds exactly
+      up to the highest bit where split and window differ:
+      tree_next = min(k, bit_length(split ^ window)).
 
     Returns (p, tree_p, tree_next) per d; tree_next is -1 where no
     position has past p+1.
@@ -298,23 +314,15 @@ def _baseline_tree_maxima(params: BaselineParams, d_values, horizon: int):
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     w = params.window
     width = min(w, horizon)
-    s = np.arange(1, width + 1, dtype=np.int64)
-    ends = np.array([-(-s >> lvl) << lvl for lvl in range(params.tree_depth)])
+
+    def levels_up_to(x):
+        # #{l < k : 2^l <= x}
+        return np.minimum(np.searchsorted(_POWERS_OF_TWO, x, side="right"),
+                          params.tree_depth)
+
     split = w - d % w
-    inside = (ends <= w).sum(axis=0)
-    tree_next = np.where(split < width,
-                         inside[np.minimum(split, width - 1)], -1)
-    # a node counts from d = end - s on; one ending past the window never does
-    slack = np.where(ends <= w, ends - s, np.iinfo(np.int64).max)
-    rows, row_of = np.unique(np.minimum(d, w - 1), return_inverse=True)
-    last = np.minimum(split, width) - 1
-    tree_p = np.zeros(d.shape, dtype=np.int64)
-    step = max(1, _BLOCK // width)
-    for lo in range(0, rows.size, step):
-        tree = (slack[:, None, :] <= rows[lo:lo + step, None]).sum(axis=0)
-        head = np.maximum.accumulate(tree, axis=1)
-        here = (row_of >= lo) & (row_of < lo + step)
-        tree_p[here] = head[row_of[here] - lo, last[here]]
+    tree_p = levels_up_to(np.minimum(split, width) + np.minimum(d, w - 1))
+    tree_next = np.where(split < width, levels_up_to(split ^ w), -1)
     return d // w, tree_p, tree_next
 
 

@@ -3,14 +3,15 @@
 The package computes worst-case losses with exact kernels (a carry DP over
 the bits of the entry position for the expiration counter, per-side tree
 maxima for the baseline).  The searches those kernels replaced live here,
-unchanged, so the tests can hold the kernels to them; so does the DP's
-first, scatter-based form, which reaches n far beyond any search.
+unchanged, so the tests can hold the kernels to them; so do the DP's
+first, scatter-based form, which reaches n far beyond any search, and the
+baseline's (d, s) count search, which reaches windows beyond the loop.
 """
 
 import numpy as np
 
 from fadecount.dyadic import decomposition_costs, floor_log2
-from fadecount.privacy_audit import _POWERS_OF_TWO
+from fadecount.privacy_audit import _BLOCK, _POWERS_OF_TWO
 
 
 def decomposition_level_counts(length: int, positions: np.ndarray,
@@ -127,3 +128,38 @@ def scatter_decomposition_costs(n: np.ndarray, t_max: int,
                                   best[2 * carry + fits] + gain)
         best = nxt.reshape(best.shape)
     return np.maximum(best[1], best[3])
+
+
+def count_search_tree_maxima(params, d_values, horizon: int):
+    """The baseline's tree maxima as first written: node counts of every
+    (d, s) cell, in integer blocks of cells, maximized by a running max
+    over s.
+
+    Same contract as privacy_audit._baseline_tree_maxima, which now counts
+    the levels in closed form from the prefix minima of the node slacks.
+    """
+    d = np.asarray(d_values, dtype=np.int64)
+    if np.any(d < 0):
+        raise ValueError(f"d must be nonnegative, got {int(d.min())}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    w = params.window
+    width = min(w, horizon)
+    s = np.arange(1, width + 1, dtype=np.int64)
+    ends = np.array([-(-s >> lvl) << lvl for lvl in range(params.tree_depth)])
+    split = w - d % w
+    inside = (ends <= w).sum(axis=0)
+    tree_next = np.where(split < width,
+                         inside[np.minimum(split, width - 1)], -1)
+    # a node counts from d = end - s on; one ending past the window never does
+    slack = np.where(ends <= w, ends - s, np.iinfo(np.int64).max)
+    rows, row_of = np.unique(np.minimum(d, w - 1), return_inverse=True)
+    last = np.minimum(split, width) - 1
+    tree_p = np.zeros(d.shape, dtype=np.int64)
+    step = max(1, _BLOCK // width)
+    for lo in range(0, rows.size, step):
+        tree = (slack[:, None, :] <= rows[lo:lo + step, None]).sum(axis=0)
+        head = np.maximum.accumulate(tree, axis=1)
+        here = (row_of >= lo) & (row_of < lo + step)
+        tree_p[here] = head[row_of[here] - lo, last[here]]
+    return d // w, tree_p, tree_next

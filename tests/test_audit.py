@@ -23,7 +23,8 @@ from fadecount.privacy_audit import (CouplingReport, PrivacyLossCurve,
                                      published_loss_bound,
                                      published_loss_bounds, verify_coupling)
 
-from audit_oracles import (scatter_decomposition_costs, search_loss_baseline,
+from audit_oracles import (count_search_tree_maxima,
+                           scatter_decomposition_costs, search_loss_baseline,
                            search_loss_expiration, worst_position_search_bound)
 
 LAMBDAS = [0.0, 0.5, 1.0, 2.0, 3.0]
@@ -294,6 +295,24 @@ class TestEmpiricalLossExpiration:
             with pytest.raises(ValueError, match="t_max"):
                 empirical_loss_curve(p, np.arange(10), t_max)
 
+    @pytest.mark.parametrize("delay,n", [(3, (1 << 62) - 1), (3, 1 << 62),
+                                         (1, (1 << 63) - 2)])
+    def test_range_lengths_below_2_62(self, delay, n):
+        # the DP's level tables stop at 2^62: the largest n keeps its value,
+        # the next ones are a ValueError naming the limit, not an IndexError
+        p = MechanismParams(1.0, 2.0, delay)
+        d = n + delay - 1
+        if n < 1 << 62:
+            want = scatter_decomposition_costs(np.array([n]), 1 << 63, 2.0)
+            assert empirical_loss_expiration(d, p, 1 << 63) == want[0] \
+                == 1953.0
+            return
+        message = f"d - delay \\+ 1 must be below 2\\^62, got {n}"
+        with pytest.raises(ValueError, match=message):
+            empirical_loss_expiration(d, p, 1 << 63)
+        with pytest.raises(ValueError, match=message):
+            empirical_loss_curve(p, [0, 5, d, 9], 100)
+
     def test_curve_wrapper(self):
         p = MechanismParams(0.5, 1.0, 0)
         curve = empirical_loss_curve(p, np.arange(0, 32), 4096)
@@ -395,7 +414,7 @@ class TestEmpiricalLossBaseline:
                     (w, horizon)
 
     def test_kernel_spans_blocks(self):
-        # enough distinct d below the window for several (d, s) blocks
+        # enough distinct d below the window for several grid blocks
         params = BaselineParams(255, 0.9, 0.04)
         ds = np.arange(0, 900, 3)
         for horizon in (100, 255, 10**6):
@@ -409,6 +428,36 @@ class TestEmpiricalLossBaseline:
             empirical_loss_baseline(3, params, 0)
         with pytest.raises(ValueError, match="nonnegative"):
             baseline_loss_curve(params, [-1, 0], 10)
+
+
+class TestClosedFormTreeMaxima:
+    @given(st.integers(1, 2000), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_count_search(self, w, data):
+        # horizons below and above the window; unsorted grids with repeats
+        # over several windows
+        params = BaselineParams(w, 1.0, 0.1)
+        horizon = data.draw(st.one_of(st.integers(1, w),
+                                      st.integers(w, 3000)))
+        ds = data.draw(st.lists(st.one_of(st.integers(0, w + 1),
+                                          st.integers(0, 5 * w + 3)),
+                                min_size=1, max_size=30))
+        ds = np.array(ds + ds[::3], dtype=np.int64)
+        got = privacy_audit._baseline_tree_maxima(params, ds, horizon)
+        want = count_search_tree_maxima(params, ds, horizon)
+        assert len(got) == len(want) == 3
+        for g, o in zip(got, want):
+            assert np.array_equal(g, o)
+
+    def test_largest_d(self):
+        # d near 2^63 stays in int64
+        params = BaselineParams(1023, 1.0, 0.1)
+        ds = np.array([(1 << 63) - 1, (1 << 63) - 1024, 5], dtype=np.int64)
+        for horizon in (1, 100, 1 << 40):
+            got = privacy_audit._baseline_tree_maxima(params, ds, horizon)
+            want = count_search_tree_maxima(params, ds, horizon)
+            for g, o in zip(got, want):
+                assert np.array_equal(g, o)
 
 
 def record_run(params, xs, seed):

@@ -352,6 +352,8 @@ class TestUsageErrors:
         (["audit", "--mechanism", "baseline", "--window", "4", "--eps-cur",
           "1", "--eps-past", "nan", "--d-max", "10", "--output", "{out}"],
          "eps_past must be finite, got nan"),
+        (["calibrate", "--mse", "100", "--t-max", "1000", "--optimal-ratio"],
+         "--optimal-ratio needs --window"),
     ])
     def test_one_line_and_exit_two(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
@@ -364,6 +366,34 @@ class TestUsageErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"fadecount {argv[0]}: error: {message.format(**paths)}"]
         assert not out.exists()
+
+
+class TestParserCache:
+    GEN = ["--generator", "bernoulli(0.3)", "--t-max", "50"]
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_state_leaks_between_calls(self, tmp_path):
+        # a usage error, then a seeded run, then one on the default seed, in
+        # one process; each output equals a fresh process's
+        cases = [["run", "--epsilon", "-1", *self.GEN, "--seed", "9"],
+                 ["run", "--epsilon", "0.5", *self.GEN, "--seed", "5"],
+                 ["run", "--epsilon", "0.5", *self.GEN]]
+        for i, argv in enumerate(cases):
+            here, fresh = tmp_path / f"here{i}.csv", tmp_path / f"fresh{i}.csv"
+            try:
+                rc = main([*argv, "--output", str(here)])
+            except SystemExit as exc:
+                rc = exc.code
+            res = subprocess.run(
+                [sys.executable, "-m", "fadecount.cli", *argv,
+                 "--output", str(fresh)], capture_output=True, text=True)
+            assert rc == res.returncode == (2 if i == 0 else 0)
+            if i == 0:
+                assert not here.exists() and not fresh.exists()
+            else:
+                assert here.read_bytes() == fresh.read_bytes()
 
 
 class TestEntryPoint:

@@ -1,8 +1,10 @@
 """Golden audit and figure outputs: small cases through cli.main, by sha256.
 
 `tests/data/audit_digests.txt` holds one `<sha256>  <file>` line per output
-file.  It was captured before the audit's output path moved onto grid
-kernels, so it pins the CSVs those kernels must reproduce byte for byte.
+file.  Its first 16 lines were captured before the audit's output path
+moved onto grid kernels, the rest before the baseline's tree counts moved
+to a closed form, so it pins the CSVs those kernels must reproduce byte
+for byte.
 Print a fresh copy with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
@@ -35,6 +37,14 @@ CASES = [
       for w in ("1", "127")),
     ("figures_2a", ["figures", "2a", "--d-max", "2000"]),
     ("figures_5b", ["figures", "5b", "--d-max", "2000"]),
+    # a large window, with the horizon below and above it, and d over two
+    # windows
+    *((f"audit_baseline_window4095_tmax{t_max}.csv",
+       ["audit", "--mechanism", "baseline", "--window", "4095", "--mse",
+        "1000", "--d-max", "10000", "--t-max", t_max])
+      for t_max in ("3000", "100000")),
+    ("figures_3", ["figures", "3", "--d-max", "2000"]),
+    ("figures_5a", ["figures", "5a", "--d-max", "2000"]),
 ]
 
 
