@@ -26,18 +26,26 @@ import sys
 
 import numpy as np
 
-from .calibration import (analytic_mse_baseline, analytic_mse_expiration,
-                          calibrate_baseline, calibrate_epsilon,
-                          optimal_ratio)
+from .calibration import calibrate_baseline, calibrate_epsilon, optimal_ratio
 from .mechanisms import (BaselineCounter, BaselineParams, ExpirationCounter,
-                         LogarithmicCounter, MechanismParams, SeededNoise,
-                         SimpleCounter)
+                         MechanismParams, SeededNoise, SimpleCounter)
 from .privacy_audit import (baseline_loss_curve, empirical_loss_curve,
                             published_loss_bounds)
 # bench/spans.py traces published_loss_bound under this module's name
 from .privacy_audit import published_loss_bound  # noqa: F401
 
-_FIGURE_IDS = ("2a", "2b", "3", "4", "5a", "5b")
+# the series of each reference figure, by the flags calibrate would take
+# for it (each calibrated to MSE 1000)
+_LAMBDAS = [{"level_exponent": lam} for lam in (1.0, 2.0, 3.0)]
+_FIGURES = {
+    "2a": [{"level_exponent": 2.0}],
+    "2b": _LAMBDAS,
+    "3": [{"window": w} for w in (31, 63, 127)],
+    "4": _LAMBDAS + [{"window": w} for w in (127, 1023)],
+    "5a": [{"window": w, "optimal_ratio": True} for w in (31, 63, 127)],
+    "5b": _LAMBDAS + [{"window": w, "optimal_ratio": True}
+                      for w in (127, 1023)],
+}
 
 
 class _InputError(Exception):
@@ -54,20 +62,26 @@ def _build_parser() -> argparse.ArgumentParser:
                     "gradually expiring privacy.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def mechanism_flags(p, include_simple=True):
-        choices = (["simple", "log", "expiration", "baseline"]
-                   if include_simple else ["expiration", "baseline"])
-        p.add_argument("--mechanism", choices=choices, default="expiration")
-        p.add_argument("--epsilon", type=float)
+    # calibrate has no --mechanism: --window picks the baseline
+    def mechanism_flags(p, choices=None, ratio=True):
+        if choices:
+            p.add_argument("--mechanism", choices=choices,
+                           default="expiration")
+            p.add_argument("--epsilon", type=float)
         p.add_argument("--lambda", dest="level_exponent", type=float,
-                       default=1.0, help="level-budget exponent (default 1)")
-        p.add_argument("--delay", type=int, default=0)
+                       help="level-budget exponent (default 1)")
+        p.add_argument("--delay", type=int, help="release delay (default 0)")
         p.add_argument("--window", type=int)
-        p.add_argument("--eps-cur", type=float)
-        p.add_argument("--eps-past", type=float)
+        if choices:
+            p.add_argument("--eps-cur", type=float)
+            p.add_argument("--eps-past", type=float)
+        if ratio:
+            p.add_argument("--ratio", type=float, help="eps_past/eps_cur when "
+                           "calibrating the baseline (default 0.1)")
 
     p_run = sub.add_parser("run", help="stream a mechanism, write CSV releases")
-    mechanism_flags(p_run)
+    mechanism_flags(p_run, ["simple", "log", "expiration", "baseline"],
+                    ratio=False)
     p_run.add_argument("--t-max", type=int,
                        help="steps to run (required with --generator; with "
                             "--input, truncates the stream)")
@@ -79,9 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--output", required=True)
 
     p_audit = sub.add_parser("audit", help="emit worst-case privacy-loss curve")
-    mechanism_flags(p_audit, include_simple=False)
-    p_audit.add_argument("--ratio", type=float,
-                         help="eps_past/eps_cur when calibrating the baseline")
+    mechanism_flags(p_audit, ["expiration", "baseline"])
     p_audit.add_argument("--mse", type=float,
                          help="calibrate parameters to this MSE first")
     p_audit.add_argument("--d-max", type=int, required=True)
@@ -92,11 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--output", required=True)
 
     p_cal = sub.add_parser("calibrate", help="print parameters hitting an MSE")
-    p_cal.add_argument("--lambda", dest="level_exponent", type=float,
-                       default=1.0)
-    p_cal.add_argument("--delay", type=int, default=0)
-    p_cal.add_argument("--window", type=int)
-    p_cal.add_argument("--ratio", type=float, default=0.1)
+    mechanism_flags(p_cal)
     p_cal.add_argument("--optimal-ratio", action="store_true",
                        help="use the loss-minimizing baseline ratio "
                             "(closed form)")
@@ -104,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--t-max", type=int, required=True)
 
     p_fig = sub.add_parser("figures", help="reproduce a reference figure as CSV")
-    p_fig.add_argument("figure", choices=_FIGURE_IDS)
+    p_fig.add_argument("figure", choices=_FIGURES)
     p_fig.add_argument("--output", default="figures",
                        help="directory for the CSV bundle")
     p_fig.add_argument("--d-max", type=int,
@@ -167,12 +175,19 @@ def _usage_error(parser, args, message: str):
 
 
 def _checked(parser, args, build, *build_args):
-    """build(*build_args), with a rejected argument (ValueError) reported
-    as a usage error."""
+    """build(*build_args), with a rejected argument (ValueError, or an
+    OverflowError of a value past int64) reported as a usage error."""
     try:
         return build(*build_args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         _usage_error(parser, args, str(exc))
+
+
+def _check_d_max(parser, args):
+    # d is int64, and the expiration kernel takes d - delay + 1 < 2^62
+    if args.d_max is not None and not 0 <= args.d_max < 2**62:
+        _usage_error(parser, args,
+                     f"--d-max must be in [0, 2^62), got {args.d_max}")
 
 
 # rows formatted and written per block, so memory does not grow with the
@@ -218,39 +233,91 @@ def _open_output(parser, args):
 # subcommands
 
 
-def _make_counter(args, parser):
-    mech = args.mechanism
-    if mech == "baseline":
-        if args.window is None or args.eps_cur is None or args.eps_past is None:
-            parser.error("baseline needs --window, --eps-cur and --eps-past")
-        params = _checked(parser, args, BaselineParams, args.window,
-                          args.eps_cur, args.eps_past)
-        return BaselineCounter(params, SeededNoise(args.seed))
-    if args.epsilon is None:
-        parser.error(f"{mech} needs --epsilon")
-    if mech == "simple":
-        params = _checked(parser, args, MechanismParams, args.epsilon)
-        return SimpleCounter(params, SeededNoise(args.seed))
-    if mech == "log":
-        return _checked(parser, args, LogarithmicCounter, args.epsilon,
-                        SeededNoise(args.seed))
-    params = _checked(parser, args, MechanismParams, args.epsilon,
-                      args.level_exponent, args.delay)
-    return ExpirationCounter(params, SeededNoise(args.seed))
+# the flags each mechanism reads, by argparse dest; with --mse the budget
+# flags are not read, and the baseline reads --ratio or --optimal-ratio
+_READS = {"simple": {"epsilon"}, "log": {"epsilon"},
+          "expiration": {"epsilon", "level_exponent", "delay"},
+          "baseline": {"window", "eps_cur", "eps_past"}}
+_BUDGETS = {"epsilon", "eps_cur", "eps_past"}
+# every flag that selects or shapes a mechanism, in the order a stray or
+# missing one is reported
+_FLAGS = {"epsilon": "--epsilon", "level_exponent": "--lambda",
+          "delay": "--delay", "window": "--window", "eps_cur": "--eps-cur",
+          "eps_past": "--eps-past", "ratio": "--ratio",
+          "optimal_ratio": "--optimal-ratio"}
+
+
+def mechanism_params(args, horizon=None):
+    """(params, calibration, ratio) of the mechanism that args (argparse
+    dests; a missing one is not given) chooses.  With --mse, params is
+    calibrated to it over horizon, calibration is the calibrate_* result and
+    ratio the baseline's eps_past/eps_cur; else both are None.  A flag the
+    mechanism does not read, or a missing one it needs, is a ValueError."""
+    given = {d: v for d in _FLAGS  # by identity: a given 0 counts as given
+             if (v := getattr(args, d, None)) is not None and v is not False}
+    mse, optimal = getattr(args, "mse", None), "optimal_ratio" in given
+    mech = getattr(args, "mechanism", None)
+    if mech is None:  # calibrate: --window picks the baseline
+        mech = "baseline" if "window" in given else "expiration"
+        stray = ("{} needs --window" if mech == "expiration" else
+                 "{} is not read with --window" + " --optimal-ratio" * optimal)
+    else:
+        stray = "{} is not read by --mechanism " + mech + (
+            " with --mse" if mse is not None else "")
+    reads = _READS[mech] - (_BUDGETS if mse is not None else set())
+    if mse is not None and mech == "baseline":
+        reads |= {"optimal_ratio" if optimal else "ratio"}
+    for dest in given:  # the first stray flag, in _FLAGS order
+        if dest not in reads:
+            raise ValueError(stray.format(_FLAGS[dest]))
+    missing = reads & (_BUDGETS | {"window"}) - given.keys()
+    if missing:
+        raise ValueError(f"--mechanism {mech} needs " + " and ".join(
+            flag for dest, flag in _FLAGS.items() if dest in missing)
+            + (" or --mse" if "mse" in args else ""))
+    lam, delay = given.get("level_exponent", 1.0), given.get("delay", 0)
+    if mech != "baseline":
+        cal = None if mse is None else calibrate_epsilon(mse, horizon, lam,
+                                                         delay)
+        eps = given["epsilon"] if cal is None else cal.epsilon
+        return MechanismParams(eps, lam, delay), cal, None
+    window = given["window"]
+    if mse is None:
+        return (BaselineParams(window, given["eps_cur"], given["eps_past"]),
+                None, None)
+    if optimal:
+        ratio, cal = optimal_ratio(mse, horizon, window)
+    else:
+        ratio = given.get("ratio", 0.1)
+        cal = calibrate_baseline(mse, horizon, window, ratio)
+    return BaselineParams(window, cal.eps_cur, cal.eps_past), cal, ratio
+
+
+def _loss_curve(parser, args, params, d_values, horizon):
+    loss = (baseline_loss_curve if isinstance(params, BaselineParams)
+            else empirical_loss_curve)
+    return _checked(parser, args, loss, params, d_values, horizon)
 
 
 def cmd_run(args, parser) -> int:
     if (args.input is None) == (args.generator is None):
-        parser.error("exactly one of --input / --generator is required")
+        _usage_error(parser, args,
+                     "exactly one of --input / --generator is required")
     if args.generator is not None and args.t_max is None:
-        parser.error("--generator needs --t-max")
+        _usage_error(parser, args, "--generator needs --t-max")
     if args.t_max is not None and args.t_max < 1:
         _usage_error(parser, args, f"--t-max must be >= 1, got {args.t_max}")
-    counter = _make_counter(args, parser)
+    if args.seed < 0:
+        _usage_error(parser, args, f"--seed must be >= 0, got {args.seed}")
+    params, _, _ = _checked(parser, args, mechanism_params, args)
+    counter = {"simple": SimpleCounter, "baseline": BaselineCounter}.get(
+        args.mechanism, ExpirationCounter)(params, SeededNoise(args.seed))
     if args.input is not None:
         xs = _parse_stream_file(args.input, args.t_max)
     else:
         xs = _generate_stream(args.generator, args.t_max, args.seed)
+    # one f-string per row rather than _write_csv: run's floats are nearly
+    # all distinct, so _column_text's per-block np.unique does not pay off
     with _open_output(parser, args) as fh:
         fh.write("t,true_sum,released,abs_error\n")
         true_sum = 0.0
@@ -263,40 +330,15 @@ def cmd_run(args, parser) -> int:
 
 
 def cmd_audit(args, parser) -> int:
-    if args.d_max < 0:
-        parser.error("--d-max must be nonnegative")
+    _check_d_max(parser, args)
     if args.t_max is not None and args.t_max < 1:
         _usage_error(parser, args, f"--t-max must be >= 1, got {args.t_max}")
     horizon = args.t_max if args.t_max is not None else args.d_max + 1
+    params, _, _ = _checked(parser, args, mechanism_params, args, horizon)
     d_values = np.arange(args.d_max + 1)
-    if args.mechanism == "baseline":
-        if args.window is None:
-            parser.error("baseline audit needs --window")
-        if args.mse is not None:
-            ratio = args.ratio if args.ratio is not None else 0.1
-            cal = _checked(parser, args, calibrate_baseline, args.mse,
-                           horizon, args.window, ratio)
-            params = BaselineParams(args.window, cal.eps_cur, cal.eps_past)
-        elif args.eps_cur is not None and args.eps_past is not None:
-            params = _checked(parser, args, BaselineParams, args.window,
-                              args.eps_cur, args.eps_past)
-        else:
-            parser.error("baseline audit needs --eps-cur/--eps-past or --mse")
-        curve = baseline_loss_curve(params, d_values, horizon)
-        theoretical = None
-    else:
-        if args.mse is not None:
-            cal = _checked(parser, args, calibrate_epsilon, args.mse,
-                           horizon, args.level_exponent, args.delay)
-            eps = cal.epsilon
-        elif args.epsilon is not None:
-            eps = args.epsilon
-        else:
-            parser.error("expiration audit needs --epsilon or --mse")
-        params = _checked(parser, args, MechanismParams, eps,
-                          args.level_exponent, args.delay)
-        curve = empirical_loss_curve(params, d_values, horizon)
-        theoretical = published_loss_bounds(params, d_values)
+    curve = _loss_curve(parser, args, params, d_values, horizon)
+    theoretical = (None if isinstance(params, BaselineParams)
+                   else published_loss_bounds(params, d_values))
     with _open_output(parser, args) as fh:
         _write_csv(fh, "d,loss_empirical,loss_envelope,loss_theoretical",
                    [d_values, curve.loss, curve.envelope, theoretical])
@@ -304,27 +346,15 @@ def cmd_audit(args, parser) -> int:
 
 
 def cmd_calibrate(args, parser) -> int:
-    def sig4(v: float) -> str:
-        return f"{v:.4g}"
-
-    if args.window is not None:
-        if args.optimal_ratio:
-            ratio, cal = _checked(parser, args, optimal_ratio, args.mse,
-                                  args.t_max, args.window)
-            print(f"ratio = {sig4(ratio)} ({ratio!r})")
-        else:
-            cal = _checked(parser, args, calibrate_baseline, args.mse,
-                           args.t_max, args.window, args.ratio)
-        print(f"eps_cur = {sig4(cal.eps_cur)} ({cal.eps_cur!r})")
-        print(f"eps_past = {sig4(cal.eps_past)} ({cal.eps_past!r})")
-        print(f"achieved_mse = {cal.achieved_mse!r}")
-    else:
-        if args.optimal_ratio:
-            _usage_error(parser, args, "--optimal-ratio needs --window")
-        cal = _checked(parser, args, calibrate_epsilon, args.mse, args.t_max,
-                       args.level_exponent, args.delay)
-        print(f"epsilon = {sig4(cal.epsilon)} ({cal.epsilon!r})")
-        print(f"achieved_mse = {cal.achieved_mse!r}")
+    params, cal, ratio = _checked(parser, args, mechanism_params, args,
+                                  args.t_max)
+    if args.optimal_ratio:
+        print(f"ratio = {ratio:.4g} ({ratio!r})")
+    for name in (("eps_cur", "eps_past") if isinstance(params, BaselineParams)
+                 else ("epsilon",)):
+        value = getattr(cal, name)
+        print(f"{name} = {value:.4g} ({value!r})")
+    print(f"achieved_mse = {cal.achieved_mse!r}")
     return 0
 
 
@@ -349,59 +379,28 @@ def _write_series(path: str, d_values, losses) -> None:
 def cmd_figures(args, parser) -> int:
     figure = args.figure
     outdir = args.output
-    if args.d_max is not None and args.d_max < 0:
-        parser.error("--d-max must be nonnegative")
+    _check_d_max(parser, args)
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         _usage_error(parser, args, f"cannot create {outdir}: {exc.strerror}")
-    mse = 1000.0
     T = 10**6 if figure in ("4", "5b") else 10**3
-    d_max = args.d_max if args.d_max is not None else T - 1
-    d_values = _figure_d_grid(d_max)
-
-    def expiration_series(lam: float, tag: str, theoretical: bool = False):
-        cal = calibrate_epsilon(mse, T, lam)
-        params = MechanismParams(cal.epsilon, lam)
-        curve = empirical_loss_curve(params, d_values, T)
+    d_values = _figure_d_grid(T - 1 if args.d_max is None else args.d_max)
+    for series in _FIGURES[figure]:
+        flags = argparse.Namespace(mse=1000.0, **series)
+        params, _, _ = _checked(parser, args, mechanism_params, flags, T)
+        if isinstance(params, BaselineParams):
+            tag = f"window{params.window}" + (
+                "_optratio" if "optimal_ratio" in series else "")
+        else:
+            tag = f"lambda{params.level_exponent:g}"
+        curve = _loss_curve(parser, args, params, d_values, T)
         _write_series(os.path.join(outdir, f"fig{figure}_{tag}.csv"),
                       d_values, curve.envelope)
-        if theoretical:
+        if figure == "2a":
             _write_series(
                 os.path.join(outdir, f"fig{figure}_theoretical_{tag}.csv"),
                 d_values, published_loss_bounds(params, d_values))
-
-    def baseline_series(window: int, tag: str, ratio=0.1, optimal=False):
-        if optimal:
-            ratio, cal = optimal_ratio(mse, T, window)
-        else:
-            cal = calibrate_baseline(mse, T, window, ratio)
-        params = BaselineParams(window, cal.eps_cur, cal.eps_past)
-        curve = baseline_loss_curve(params, d_values, T)
-        _write_series(os.path.join(outdir, f"fig{figure}_{tag}.csv"),
-                      d_values, curve.envelope)
-
-    if figure == "2a":
-        expiration_series(2.0, "lambda2", theoretical=True)
-    elif figure == "2b":
-        for lam in (1.0, 2.0, 3.0):
-            expiration_series(lam, f"lambda{lam:g}")
-    elif figure == "3":
-        for w in (31, 63, 127):
-            baseline_series(w, f"window{w}")
-    elif figure == "4":
-        for lam in (1.0, 2.0, 3.0):
-            expiration_series(lam, f"lambda{lam:g}")
-        for w in (127, 1023):
-            baseline_series(w, f"window{w}")
-    elif figure == "5a":
-        for w in (31, 63, 127):
-            baseline_series(w, f"window{w}_optratio", optimal=True)
-    elif figure == "5b":
-        for lam in (1.0, 2.0, 3.0):
-            expiration_series(lam, f"lambda{lam:g}")
-        for w in (127, 1023):
-            baseline_series(w, f"window{w}_optratio", optimal=True)
     return 0
 
 

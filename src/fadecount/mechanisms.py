@@ -99,8 +99,9 @@ class BaselineParams:
 
     @property
     def tree_depth(self) -> int:
-        """Number of tree levels k = ceil(log2(window+1))."""
-        return max(1, math.ceil(math.log2(self.window + 1)))
+        """Number of tree levels k = ceil(log2(window+1)), the bit length
+        of the window (exact in integers, where log2 rounds from 2^53)."""
+        return int(self.window).bit_length()
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,49 @@ class TestUsageErrors:
          "eps_past must be finite, got nan"),
         (["calibrate", "--mse", "100", "--t-max", "1000", "--optimal-ratio"],
          "--optimal-ratio needs --window"),
+        # flags the mechanism does not read
+        (["run", "--mechanism", "log", "--epsilon", "1", "--lambda", "3",
+          "--delay", "5", *GEN, "--output", "{out}"],
+         "--lambda is not read by --mechanism log"),
+        (["calibrate", "--mse", "100", "--t-max", "1000", "--window", "63",
+          "--lambda", "3", "--delay", "9"],
+         "--lambda is not read with --window"),
+        (["audit", "--epsilon", "1", "--mse", "100", "--d-max", "3",
+          "--output", "{out}"],
+         "--epsilon is not read by --mechanism expiration with --mse"),
+        (["calibrate", "--mse", "100", "--t-max", "1000", "--window", "63",
+          "--ratio", "0.2", "--optimal-ratio"],
+         "--ratio is not read with --window --optimal-ratio"),
+        # flags a mechanism needs
+        (["run", "--mechanism", "baseline", "--window", "4", *GEN,
+          "--output", "{out}"],
+         "--mechanism baseline needs --eps-cur and --eps-past"),
+        (["audit", "--d-max", "3", "--output", "{out}"],
+         "--mechanism expiration needs --epsilon or --mse"),
+        (["run", "--epsilon", "1", "--output", "{out}"],
+         "exactly one of --input / --generator is required"),
+        # values past what the kernels take
+        (["audit", "--epsilon", "1", "--d-max", "99999999999999999999",
+          "--output", "{out}"],
+         "--d-max must be in [0, 2^62), got 99999999999999999999"),
+        (["audit", "--epsilon", "1", "--d-max", "9223372036854775807",
+          "--output", "{out}"],
+         "--d-max must be in [0, 2^62), got 9223372036854775807"),
+        (["figures", "2a", "--d-max", "4611686018427387904",
+          "--output", "{out}"],
+         "--d-max must be in [0, 2^62), got 4611686018427387904"),
+        (["figures", "2a", "--d-max", "99999999999999999999",
+          "--output", "{out}"],
+         "--d-max must be in [0, 2^62), got 99999999999999999999"),
+        (["audit", "--mechanism", "baseline", "--window",
+          "99999999999999999999", "--eps-cur", "1", "--eps-past", "1",
+          "--d-max", "3", "--output", "{out}"],
+         "Python int too large to convert to C long"),
+        (["run", "--epsilon", "1", "--generator", "bernoulli(0.5)",
+          "--t-max", "3", "--seed", "-1", "--output", "{out}"],
+         "--seed must be >= 0, got -1"),
+        (["run", "--epsilon", "1", *GEN, "--seed", "-1", "--output", "{out}"],
+         "--seed must be >= 0, got -1"),
     ])
     def test_one_line_and_exit_two(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
@@ -366,6 +409,81 @@ class TestUsageErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"fadecount {argv[0]}: error: {message.format(**paths)}"]
         assert not out.exists()
+
+
+# (command, mode): the argv that chooses a mechanism, and the mechanism
+# flags it reads beyond those in that argv
+MODES = {
+    ("run", "simple"): (["run", "--mechanism", "simple", "--epsilon", "1",
+                         "--generator", "ones", "--t-max", "5"], set()),
+    ("run", "log"): (["run", "--mechanism", "log", "--epsilon", "1",
+                      "--generator", "ones", "--t-max", "5"], set()),
+    ("run", "expiration"): (
+        ["run", "--mechanism", "expiration", "--epsilon", "1",
+         "--generator", "ones", "--t-max", "5"], {"--lambda", "--delay"}),
+    ("run", "baseline"): (
+        ["run", "--mechanism", "baseline", "--window", "4", "--eps-cur", "1",
+         "--eps-past", "0.1", "--generator", "ones", "--t-max", "5"], set()),
+    ("audit", "expiration"): (
+        ["audit", "--mechanism", "expiration", "--epsilon", "1",
+         "--d-max", "3", "--t-max", "64"], {"--lambda", "--delay"}),
+    ("audit", "expiration-mse"): (
+        ["audit", "--mechanism", "expiration", "--mse", "100",
+         "--d-max", "3", "--t-max", "64"], {"--lambda", "--delay"}),
+    ("audit", "baseline"): (
+        ["audit", "--mechanism", "baseline", "--window", "4", "--eps-cur",
+         "1", "--eps-past", "0.1", "--d-max", "3"], set()),
+    ("audit", "baseline-mse"): (
+        ["audit", "--mechanism", "baseline", "--window", "4", "--mse", "100",
+         "--d-max", "3", "--t-max", "64"], {"--ratio"}),
+    ("calibrate", "expiration"): (
+        ["calibrate", "--mse", "100", "--t-max", "64"],
+        {"--lambda", "--delay", "--window"}),
+    ("calibrate", "baseline"): (
+        ["calibrate", "--mse", "100", "--t-max", "64", "--window", "4"],
+        {"--ratio", "--optimal-ratio"}),
+    ("calibrate", "baseline-optimal"): (
+        ["calibrate", "--mse", "100", "--t-max", "64", "--window", "4",
+         "--optimal-ratio"], set()),
+}
+# each command's mechanism flags, with a valid value (None: a switch)
+_RUN_FLAGS = [("--epsilon", "1"), ("--lambda", "2"), ("--lambda", "0"),
+              ("--delay", "2"), ("--delay", "0"), ("--window", "4"),
+              ("--eps-cur", "1"), ("--eps-past", "0.1")]
+COMMAND_FLAGS = {
+    "run": _RUN_FLAGS,
+    "audit": _RUN_FLAGS + [("--ratio", "0.2")],
+    "calibrate": [("--lambda", "2"), ("--lambda", "0"), ("--delay", "2"),
+                  ("--delay", "0"), ("--window", "4"), ("--ratio", "0.2"),
+                  ("--optimal-ratio", None)],
+}
+FLAG_CASES = [(cmd, mode, flag, value)
+              for (cmd, mode), (argv, _) in MODES.items()
+              for flag, value in COMMAND_FLAGS[cmd] if flag not in argv]
+
+
+class TestFlagsReadOrRejected:
+    """Every mechanism flag a command takes is either read by the mechanism
+    it chooses, or a one-line usage error that names it."""
+
+    @pytest.mark.parametrize(
+        "cmd,mode,flag,value", FLAG_CASES,
+        ids=[f"{c}-{m}-{f[2:]}{v or ''}" for c, m, f, v in FLAG_CASES])
+    def test_read_or_rejected(self, tmp_path, capsys, cmd, mode, flag, value):
+        argv, reads = MODES[cmd, mode]
+        out = tmp_path / "out.csv"
+        argv = [*argv, flag] + ([] if value is None else [value])
+        argv += [] if cmd == "calibrate" else ["--output", str(out)]
+        if flag in reads:
+            assert main(argv) == 0
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"fadecount {cmd}: error: {flag} ")
+        assert captured.out == "" and not out.exists()
 
 
 class TestParserCache:

@@ -1,15 +1,17 @@
-"""Golden audit and figure outputs: small cases through cli.main, by sha256.
+"""Golden CLI outputs: small cases through cli.main, by sha256.
 
 `tests/data/audit_digests.txt` holds one `<sha256>  <file>` line per output
 file.  Its first 16 lines were captured before the audit's output path
-moved onto grid kernels, the rest before the baseline's tree counts moved
-to a closed form, so it pins the CSVs those kernels must reproduce byte
-for byte.
+moved onto grid kernels, the next 8 before the baseline's tree counts moved
+to a closed form, and the `run_*`/`calibrate_*` lines before the CLI's
+flags moved onto one flags-to-parameters path, so it pins the CSVs (and
+the `calibrate` stdout) those changes must reproduce byte for byte.
 Print a fresh copy with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
 
+import contextlib
 import hashlib
 import os
 import pathlib
@@ -23,6 +25,8 @@ from fadecount.cli import main
 DIGESTS = pathlib.Path(__file__).resolve().parent / "data" / "audit_digests.txt"
 
 _GRID = ["--mse", "1000", "--d-max", "2000", "--t-max", "100000"]
+_BERNOULLI = ["--generator", "bernoulli(0.3)", "--t-max", "3000",
+              "--seed", "11"]
 
 # (output name, argv without --output); figures write into a directory
 CASES = [
@@ -45,6 +49,31 @@ CASES = [
       for t_max in ("3000", "100000")),
     ("figures_3", ["figures", "3", "--d-max", "2000"]),
     ("figures_5a", ["figures", "5a", "--d-max", "2000"]),
+    *((f"run_{mech}.csv",
+       ["run", "--mechanism", mech, *flags, *_BERNOULLI])
+      for mech, flags in (("simple", ["--epsilon", "0.5"]),
+                          ("log", ["--epsilon", "0.5"]),
+                          ("expiration",
+                           ["--epsilon", "0.5", "--lambda", "2"]),
+                          ("baseline", ["--window", "31", "--eps-cur", "0.6",
+                                        "--eps-past", "0.06"]))),
+    ("run_input.csv",
+     ["run", "--mechanism", "expiration", "--epsilon", "0.3", "--lambda",
+      "1.5", "--delay", "4", "--input", "{input}", "--seed", "7"]),
+    *((f"run_expiration_delay{delay}.csv",
+       ["run", "--mechanism", "expiration", "--epsilon", "0.5", "--lambda",
+        "3", "--delay", delay, *_BERNOULLI])
+      for delay in ("0", "16")),
+    # calibrate writes to stdout, which the case captures as its file
+    ("calibrate_expiration.txt",
+     ["calibrate", "--mse", "1000", "--t-max", "1000", "--lambda", "2",
+      "--delay", "5"]),
+    ("calibrate_baseline.txt",
+     ["calibrate", "--mse", "1000", "--t-max", "1000", "--window", "31",
+      "--ratio", "0.2"]),
+    ("calibrate_optimal_ratio.txt",
+     ["calibrate", "--mse", "1000", "--t-max", "1000", "--window", "63",
+      "--optimal-ratio"]),
 ]
 
 
@@ -52,10 +81,26 @@ def _digest(path) -> str:
     return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
 
+def _write_stream(path) -> None:
+    """A fixed 2000-value input stream, with a few blank lines."""
+    with open(path, "w") as fh:
+        for i in range(2000):
+            blank = "\n" if i % 500 == 0 else ""
+            fh.write(f"{i * 37 % 101 / 100}\n{blank}")
+
+
 def case_digests(name, argv, workdir) -> dict:
     """Run one case in workdir; sha256 of every file it wrote, by name."""
     out = os.path.join(workdir, name)
-    assert main([*argv, "--output", out]) == 0
+    if "{input}" in argv:
+        stream = os.path.join(workdir, "stream.txt")
+        _write_stream(stream)
+        argv = [stream if a == "{input}" else a for a in argv]
+    if argv[0] == "calibrate":
+        with open(out, "w") as fh, contextlib.redirect_stdout(fh):
+            assert main(argv) == 0
+    else:
+        assert main([*argv, "--output", out]) == 0
     if not os.path.isdir(out):
         return {name: _digest(out)}
     return {f"{name}/{f}": _digest(os.path.join(out, f))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 from fractions import Fraction
 from unittest import mock
 
@@ -73,6 +74,18 @@ class TestParams:
         assert BaselineParams(31, 1.0, 1.0).tree_depth == 5
         assert BaselineParams(127, 1.0, 1.0).tree_depth == 7
         assert BaselineParams(1023, 1.0, 1.0).tree_depth == 10
+
+    @pytest.mark.parametrize("window,depth", [
+        (2**53 - 1, 53), (2**53, 54), (2**53 + 1, 54), (2**60, 61)])
+    def test_tree_depth_is_exact_past_float_precision(self, window, depth):
+        # ceil(log2(window + 1)) in floats gives 53, 53, 53 and 60 here
+        assert BaselineParams(window, 1.0, 1.0).tree_depth == depth
+
+    def test_tree_depth_equals_float_formula_below_2_20(self):
+        depth = BaselineParams.tree_depth.fget
+        assert all(depth(types.SimpleNamespace(window=w))
+                   == max(1, math.ceil(math.log2(w + 1)))
+                   for w in range(1, 2**20))
 
 
 class TestNoiseSources:
