@@ -15,11 +15,10 @@ from .calibration import (BaselineCalibration, CalibrationResult,
                           calibrate_baseline, calibrate_epsilon,
                           error_bound_expiration, optimal_ratio,
                           popcount_total)
-from .dyadic import (DyadicInterval, containing_interval, decompose,
-                     floor_log2, intersect)
+from .dyadic import DyadicInterval, decompose, floor_log2, intersect
 from .mechanisms import (BaselineCounter, BaselineParams, ExpirationCounter,
-                         LogarithmicCounter, MechanismParams, RecordingNoise,
-                         ReplayNoise, SeededNoise, SimpleCounter, ZeroNoise,
+                         MechanismParams, RecordingNoise, ReplayNoise,
+                         SeededNoise, SimpleCounter, ZeroNoise,
                          run_expiration, run_simple)
 from .noise import concentration_threshold, keyed_noise, laplace_sample
 from .privacy_audit import (CouplingReport, LowerBoundReport,
@@ -35,13 +34,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BaselineCalibration", "BaselineCounter", "BaselineParams",
     "CalibrationResult", "CouplingReport", "DyadicInterval",
-    "ExpirationCounter", "LogarithmicCounter", "LowerBoundReport",
+    "ExpirationCounter", "LowerBoundReport",
     "MechanismParams", "PrivacyLossCurve", "RecordingNoise", "ReplayNoise",
     "SeededNoise", "SimpleCounter", "ZeroNoise",
     "analytic_mse_baseline", "analytic_mse_expiration",
     "baseline_loss_curve", "calibrate_baseline", "calibrate_epsilon",
     "closed_form_loss_bound", "concentration_threshold",
-    "containing_interval", "coupling_shift", "decompose",
+    "coupling_shift", "decompose",
     "empirical_loss_baseline", "empirical_loss_curve",
     "empirical_loss_expiration", "error_bound_expiration",
     "exact_loss_bound", "floor_log2", "intersect", "keyed_noise",

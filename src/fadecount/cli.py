@@ -192,7 +192,7 @@ def _check_d_max(parser, args):
 
 # rows formatted and written per block, so memory does not grow with the
 # row count
-_CSV_BLOCK = 1 << 14
+_CSV_BLOCK = 1 << 12
 
 
 def _column_text(column: np.ndarray) -> list:
@@ -282,6 +282,9 @@ def mechanism_params(args, horizon=None):
         eps = given["epsilon"] if cal is None else cal.epsilon
         return MechanismParams(eps, lam, delay), cal, None
     window = given["window"]
+    # the baseline's loss kernel sums up to 2 * window - 1 in int64
+    if window > 1 << 62:
+        raise ValueError(f"--window must be at most 2^62, got {window}")
     if mse is None:
         return (BaselineParams(window, given["eps_cur"], given["eps_past"]),
                 None, None)
@@ -380,12 +383,11 @@ def cmd_figures(args, parser) -> int:
     figure = args.figure
     outdir = args.output
     _check_d_max(parser, args)
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        _usage_error(parser, args, f"cannot create {outdir}: {exc.strerror}")
     T = 10**6 if figure in ("4", "5b") else 10**3
     d_values = _figure_d_grid(T - 1 if args.d_max is None else args.d_max)
+    # every series is computed before the directory is made, so a series
+    # that fails leaves nothing behind
+    files = {}
     for series in _FIGURES[figure]:
         flags = argparse.Namespace(mse=1000.0, **series)
         params, _, _ = _checked(parser, args, mechanism_params, flags, T)
@@ -395,12 +397,16 @@ def cmd_figures(args, parser) -> int:
         else:
             tag = f"lambda{params.level_exponent:g}"
         curve = _loss_curve(parser, args, params, d_values, T)
-        _write_series(os.path.join(outdir, f"fig{figure}_{tag}.csv"),
-                      d_values, curve.envelope)
+        files[f"fig{figure}_{tag}.csv"] = curve.envelope
         if figure == "2a":
-            _write_series(
-                os.path.join(outdir, f"fig{figure}_theoretical_{tag}.csv"),
-                d_values, published_loss_bounds(params, d_values))
+            files[f"fig{figure}_theoretical_{tag}.csv"] = \
+                published_loss_bounds(params, d_values)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        _usage_error(parser, args, f"cannot create {outdir}: {exc.strerror}")
+    for name, losses in files.items():
+        _write_series(os.path.join(outdir, name), d_values, losses)
     return 0
 
 

@@ -13,7 +13,7 @@ floor-log arithmetic is integer bit twiddling; no floats anywhere.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,20 +40,6 @@ def floor_log2(n: int) -> int:
     if n < 1:
         raise ValueError(f"floor_log2 needs n >= 1, got {n}")
     return n.bit_length() - 1
-
-
-def containing_interval(t: int, level: int) -> Optional[DyadicInterval]:
-    """The unique level-`level` interval containing t, or None.
-
-    None exactly when floor(t / 2^level) == 0, i.e. the candidate would be
-    the excluded interval starting at 0.
-    """
-    if t < 1:
-        raise ValueError(f"position must be >= 1, got {t}")
-    k = t >> level
-    if k < 1:
-        return None
-    return DyadicInterval(level, k)
 
 
 def intersect(t: int) -> list[DyadicInterval]:

@@ -1,14 +1,18 @@
-"""The four streaming counters over unbounded [0,1]-valued streams.
+"""The three streaming counters over unbounded [0,1]-valued streams.
 
-All four release a (possibly delayed) noisy prefix sum at every step:
+All three release a (possibly delayed) noisy prefix sum at every step:
 
 * ``SimpleCounter``      — fresh Laplace draw per step, outputs lag one step.
-* ``LogarithmicCounter`` — one draw per dyadic interval containing t.
 * ``ExpirationCounter``  — the delayed, level-budgeted counter: outputs 0 for
   the first `delay` steps, then adds one draw per dyadic interval containing
   the release position, with level-l scale (1+l)^(1-level_exponent)/epsilon.
+  At level exponent 1 and delay 0 it is the logarithmic counter.
 * ``BaselineCounter``    — windowed rounds: a fresh binary tree per round
   plus a once-per-round noisy prefix of everything before the round.
+
+Each counter states its coupling rule, ``coupling_keys(params, j, tau)``:
+for an input change at j seen up to time tau, the noise keys to shift, each
+with its budget per unit of shift (see privacy_audit.coupling_shift).
 
 Mechanisms take no horizon: streams are unbounded, state is O(delay + log t),
 and noise upkeep is amortized O(1) per step (a binary-counter argument: the
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import floor_log2
+from .dyadic import decompose, floor_log2
 from .noise import (_MASK64, _laplace_inplace, _prf_key_offset,
                     _prf_uniform_inplace, keyed_noise, laplace_sample_array,
                     prf_uniform_array)
@@ -193,6 +197,12 @@ class SimpleCounter:
         self._prefix = self._prefix + x
         return out
 
+    @staticmethod
+    def coupling_keys(params: MechanismParams, j: int, tau: int) -> list:
+        """The coupling rule (module docstring): release t sums the prefix
+        through t-1 and step t-1's draw."""
+        return [((DOMAIN_STEP, s), params.epsilon) for s in range(j, tau)]
+
 
 class ExpirationCounter:
     """Delayed level-budgeted counter; the main mechanism.
@@ -250,13 +260,14 @@ class ExpirationCounter:
             noise = noise + z
         return self._delayed_sum + noise
 
-
-class LogarithmicCounter(ExpirationCounter):
-    """Undelayed counter with uniform per-level scale 1/epsilon."""
-
-    def __init__(self, epsilon: float, noise=None):
-        super().__init__(MechanismParams(epsilon, level_exponent=1.0, delay=0),
-                         noise)
+    @staticmethod
+    def coupling_keys(params: MechanismParams, j: int, tau: int) -> list:
+        """The coupling rule (module docstring): release t sums one interval
+        of the cover of [j, t - delay]."""
+        end, lam = tau - params.delay, params.level_exponent
+        return [((DOMAIN_INTERVAL, iv.level, iv.index),
+                 params.epsilon * (1.0 + iv.level) ** (lam - 1.0))
+                for iv in (decompose(j, end) if end >= j else [])]
 
 
 class BaselineCounter:
@@ -311,6 +322,21 @@ class BaselineCounter:
                 out = out + self._tree[key]
                 start += 1 << lvl
         return out
+
+    @staticmethod
+    def coupling_keys(params: BaselineParams, j: int, tau: int) -> list:
+        """The coupling rule (module docstring): with j at position s of
+        round r, a release at s' >= s in round r sums the tree node holding
+        s at the level of one bit of s', always an odd node and first at its
+        end; and every later round's past estimate includes j."""
+        w, k = params.window, params.tree_depth
+        r, s = (j - 1) // w + 1, (j - 1) % w + 1
+        last = min(w, tau - (r - 1) * w)
+        nodes = [(lvl, ((s - 1) >> lvl) + 1) for lvl in range(k)]
+        return [((DOMAIN_TREE, r, lvl, node), params.eps_cur / k)
+                for lvl, node in nodes if node & 1 and node << lvl <= last] + [
+            ((DOMAIN_PAST, q), params.eps_past)
+            for q in range(r + 1, (tau - 1) // w + 2)]
 
 
 # ---------------------------------------------------------------------------

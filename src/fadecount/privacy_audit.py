@@ -14,8 +14,8 @@ stream.  Three curves matter for the expiration counter:
   continuous form can dip below it at isolated d);
   ``published_loss_bounds`` gives the same floats over a whole grid.
 
-``verify_coupling`` turns the privacy argument into a test: run the counter,
-shift the noise of the decomposition covering [j, tau-B] by the input
+``verify_coupling`` turns the privacy argument into a test: run a counter,
+shift the noises of its coupling rule (``coupling_keys``) by the input
 difference, re-run on the neighboring stream, and demand bit-identical
 outputs.  Replays run in exact rational arithmetic — float addition is not
 associative, and "identical" here means identical, not close.
@@ -23,18 +23,18 @@ associative, and "identical" here means identical, not close.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import DyadicInterval, decompose, floor_log2
+from .dyadic import floor_log2
 # bench/spans.py traces decomposition_costs under this module's name
 from .dyadic import decomposition_costs  # noqa: F401
-from .mechanisms import (DOMAIN_INTERVAL, BaselineParams, ExpirationCounter,
-                         MechanismParams, RecordingNoise, ReplayNoise,
-                         SeededNoise)
+from .mechanisms import (BaselineParams, MechanismParams, RecordingNoise,
+                         ReplayNoise, SeededNoise)
 
 
 # ---------------------------------------------------------------------------
@@ -45,10 +45,12 @@ from .mechanisms import (DOMAIN_INTERVAL, BaselineParams, ExpirationCounter,
 class PrivacyLossCurve:
     """Per-d worst-case losses plus their monotone envelope.
 
-    `d` must be strictly increasing.  The envelope (running maximum) is the
-    certified expiration curve: expiration functions are nondecreasing by
-    definition, and the running max is the smallest nondecreasing function
-    dominating the raw values.
+    `d` must be strictly increasing.  The envelope is the running maximum
+    over the curve's own grid points.  It is a certified expiration function
+    only on a dense grid 0..d, as `audit` writes: there it is the smallest
+    nondecreasing function dominating the raw losses.  On a sparse grid it
+    misses the peaks between grid points; on the `figures` grid it
+    understates the dense envelope by up to 22%.
     """
 
     d: np.ndarray
@@ -129,8 +131,10 @@ def published_loss_bounds(params: MechanismParams, d_values) -> np.ndarray:
 
     The exact level sum depends only on L = floor_log2(d - delay + 1), so
     it is summed once per level the grid reaches, at d = delay + 2^L - 1.
-    The closed form stays a Python expression per d: numpy's log2 and
-    power do not always round like math.log2 and float ** do.
+    The closed form takes its logs and powers from math.log2, math.log and
+    pow, mapped over a block at a time: numpy's do not always round like
+    them.  The rest is IEEE arithmetic in closed_form_loss_bound's order,
+    which numpy rounds the same.
     """
     d = np.asarray(d_values, dtype=np.int64)
     live = d >= params.delay
@@ -144,15 +148,17 @@ def published_loss_bounds(params: MechanismParams, d_values) -> np.ndarray:
     for lvl in np.unique(levels).tolist():
         table[lvl] = exact_loss_bound(params.delay + (1 << lvl) - 1, params)
     live_bounds = table[levels]
-    # with level_exponent 0 the closed form needs n >= 2, i.e. d > delay
-    singular = params.delay if params.level_exponent == 0 else -1
-    # the max with the closed form, in Python lists a block at a time so
-    # they stay small on long grids
+    lam, scale = params.level_exponent, params.epsilon * 2.0
     for lo in range(0, d.size, _BLOCK):
-        live_bounds[lo:lo + _BLOCK] = [
-            e if v == singular else max(closed_form_loss_bound(v, params), e)
-            for v, e in zip(d[lo:lo + _BLOCK].tolist(),
-                            live_bounds[lo:lo + _BLOCK].tolist())]
+        n = (d[lo:lo + _BLOCK] - params.delay + 1).tolist()
+        x = np.fromiter(map(math.log2, n), float, len(n)) + 1.0
+        if lam == 0:  # at n = 1 this gives 2 eps, the exact sum itself
+            closed = 1.0 + np.fromiter(map(math.log, x.tolist()), float)
+        else:
+            powers = map(pow, x.tolist(), itertools.repeat(lam))
+            closed = 1.0 + (np.fromiter(powers, float) - 1.0) / lam
+        np.maximum(live_bounds[lo:lo + _BLOCK], scale * closed,
+                   out=live_bounds[lo:lo + _BLOCK])
     bounds[live] = live_bounds
     return bounds
 
@@ -371,58 +377,45 @@ class CouplingReport:
 
     outputs_identical: bool
     cost: float
-    shifted_intervals: list[DyadicInterval] = field(default_factory=list)
-    shift: float = 0.0
+    shifted_keys: list
+    shift: float
 
 
-def coupling_shift(ledger: dict, j: int, tau_prime: int, y,
-                   params: MechanismParams) -> tuple[dict, CouplingReport]:
-    """Shift the noises covering [j, tau_prime] to absorb an input change y.
+def coupling_shift(counter, ledger: dict, j: int, tau: int, y,
+                   params) -> tuple[dict, CouplingReport]:
+    """Shift the noises that absorb an input change y at j, up to time tau.
 
-    Returns a new ledger with z_I replaced by z_I - y for every interval I
-    of decompose(j, tau_prime) (every released prefix at positions >= j
-    gains +y from the changed input, and exactly one covering interval
-    appears in each of those outputs, so subtracting y from it restores
-    every release).  All other entries are untouched.  Applying the shift
-    again with -y restores the original ledger exactly.
-
-    The report's cost is the privacy price of the shift,
-    sum over I of |y| * eps * (1+level)^(exponent-1).
+    `counter` is the class (ExpirationCounter, BaselineCounter or
+    SimpleCounter) of the run that drew `ledger`.  Returns a new ledger with
+    z - y at every key its rule counter.coupling_keys names: each release
+    t <= tau that includes input j sums exactly one of them, every other
+    release none.  Shifting again by -y restores the ledger exactly.  Each
+    key's budget per unit of shift is the inverse scale of its Laplace draw;
+    the cost is |y| times their sum, in the budgets' numeric type.
     """
-    if not 1 <= j <= tau_prime:
-        raise ValueError(f"need 1 <= j <= tau_prime, got j={j}, tau_prime={tau_prime}")
+    if not 1 <= j <= tau:
+        raise ValueError(f"need 1 <= j <= tau, got j={j}, tau={tau}")
     if not abs(y) <= 1:
         raise ValueError(f"|y| must be <= 1, got {y!r}")
-    intervals = decompose(j, tau_prime)
+    rule = counter.coupling_keys(params, j, tau)
+    keys = [key for key, _ in rule]
     shifted = dict(ledger)
-    lam = params.level_exponent
-    unit = 0.0
-    for iv in intervals:
-        key = (DOMAIN_INTERVAL, iv.level, iv.index)
+    for key in keys:
         shifted[key] = ledger[key] - y
-        unit += (1.0 + iv.level) ** (lam - 1.0)
-    cost = abs(y) * params.epsilon * unit
-    return shifted, CouplingReport(True, float(cost), intervals, y)
+    cost = abs(y) * sum(budget for _, budget in rule)
+    return shifted, CouplingReport(True, cost, keys, y)
 
 
-def _replay(params: MechanismParams, xs, ledger: dict):
-    counter = ExpirationCounter(params, ReplayNoise(ledger))
-    return [counter.step(x) for x in xs]
-
-
-def verify_coupling(x, x_prime, j: int, tau: int, params: MechanismParams,
+def verify_coupling(counter, x, x_prime, j: int, tau: int, params,
                     seed: int) -> CouplingReport:
     """Execute the coupling for one neighboring pair and compare outputs.
 
-    Runs the counter on x with seeded noise, records every draw, shifts the
-    decomposition covering [j, tau - delay] by y = x'_j - x_j, and re-runs
-    on x_prime.  Both replays happen in exact rational arithmetic so that
-    "identical" means bit-identical, not within-rounding.  When the change
-    is still inside the delay buffer at time tau, no shift is needed and
-    the cost is 0.
+    Runs `counter` (a counter class) on the stream x with seeded noise,
+    records every draw, applies coupling_shift with y = x'_j - x_j, and
+    replays x on the ledger and x_prime on the shifted one, in exact
+    rationals: "identical" means bit-identical, not within rounding.
     """
-    x = list(x)
-    x_prime = list(x_prime)
+    x, x_prime = list(x), list(x_prime)
     if len(x) != tau or len(x_prime) != tau:
         raise ValueError("both streams must have exactly tau entries")
     if not 1 <= j <= tau:
@@ -430,30 +423,18 @@ def verify_coupling(x, x_prime, j: int, tau: int, params: MechanismParams,
     diffs = [i for i, (a, b) in enumerate(zip(x, x_prime), start=1) if a != b]
     if diffs not in ([], [j]):
         raise ValueError(f"streams differ at positions {diffs}, expected only {j}")
-    y = Fraction(x_prime[j - 1]) - Fraction(x[j - 1])
-    if not abs(y) <= 1:
-        raise ValueError(f"|x'_j - x_j| must be <= 1, got {float(y)}")
-
-    # record the run's draws, then replay both streams exactly
     recorder = RecordingNoise(SeededNoise(seed))
-    counter = ExpirationCounter(params, recorder)
+    run = counter(params, recorder)
     for v in x:
-        counter.step(v)
-    exact_ledger = {k: Fraction(v) for k, v in recorder.ledger.items()}
-    x_frac = [Fraction(v) for v in x]
-    xp_frac = [Fraction(v) for v in x_prime]
-
-    released_end = tau - params.delay
-    if released_end < j:
-        out_a = _replay(params, x_frac, exact_ledger)
-        out_b = _replay(params, xp_frac, exact_ledger)
-        return CouplingReport(out_a == out_b, 0.0, [], float(y))
-
-    shifted, report = coupling_shift(exact_ledger, j, released_end, y, params)
-    out_a = _replay(params, x_frac, exact_ledger)
-    out_b = _replay(params, xp_frac, shifted)
-    report.outputs_identical = out_a == out_b
-    report.shift = float(y)
+        run.step(v)
+    ledger = {k: Fraction(v) for k, v in recorder.ledger.items()}
+    y = Fraction(x_prime[j - 1]) - Fraction(x[j - 1])
+    shifted, report = coupling_shift(counter, ledger, j, tau, y, params)
+    outputs = []
+    for xs, draws in ((x, ledger), (x_prime, shifted)):
+        run = counter(params, ReplayNoise(draws))
+        outputs.append([run.step(Fraction(v)) for v in xs])
+    report.outputs_identical = outputs[0] == outputs[1]
     return report
 
 

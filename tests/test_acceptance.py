@@ -142,8 +142,8 @@ def test_criterion_04_coupling_suite():
             xs = rng.integers(0, 65, size=tau) / 64.0
             xs2 = xs.copy()
             xs2[j - 1] = ((xs[j - 1] * 64 + rng.integers(1, 65)) % 65) / 64.0
-            report = verify_coupling(xs, xs2, j, tau, params,
-                                     seed=int(rng.integers(1 << 30)))
+            report = verify_coupling(ExpirationCounter, xs, xs2, j, tau,
+                                     params, seed=int(rng.integers(1 << 30)))
             assert report.outputs_identical, (lam, delay, tau, j)
             bound = exact_loss_bound(tau - j, params)
             cost = float(report.cost)

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fadecount.dyadic import decompose, floor_log2
-from fadecount.mechanisms import (DOMAIN_INTERVAL, BaselineParams,
-                                  ExpirationCounter, MechanismParams,
-                                  RecordingNoise, SeededNoise)
+from fadecount.mechanisms import (DOMAIN_INTERVAL, BaselineCounter,
+                                  BaselineParams, ExpirationCounter,
+                                  MechanismParams, RecordingNoise,
+                                  ReplayNoise, SeededNoise, SimpleCounter,
+                                  ZeroNoise)
 from fadecount import privacy_audit
 from fadecount.privacy_audit import (CouplingReport, PrivacyLossCurve,
                                      _worst_decomposition_costs,
@@ -449,6 +451,21 @@ class TestClosedFormTreeMaxima:
         for g, o in zip(got, want):
             assert np.array_equal(g, o)
 
+    def test_largest_window(self):
+        # at window 2^62 the kernel's largest sum, 2 * window - 1, is the
+        # int64 maximum; every level counts once d >= window - 1
+        w = 1 << 62
+        params = BaselineParams(w, 1.0, 0.1)
+        ds = np.array([w - 1, w, 2 * w - 1, 5], dtype=np.int64)
+        for horizon in (1, 100):
+            got = privacy_audit._baseline_tree_maxima(params, ds, horizon)
+            want = count_search_tree_maxima(params, ds, horizon)
+            for g, o in zip(got, want):
+                assert np.array_equal(g, o)
+        _, tree_p, _ = privacy_audit._baseline_tree_maxima(
+            params, ds[:3], (1 << 63) - 1)
+        assert tree_p.tolist() == [params.tree_depth] * 3
+
     def test_largest_d(self):
         # d near 2^63 stays in int64
         params = BaselineParams(1023, 1.0, 0.1)
@@ -473,7 +490,8 @@ class TestCouplingShift:
         xs = [1.0] * 40
         _, ledger = record_run(params, xs, seed=3)
         j, tau, y = 5, 40, 1.0
-        shifted, report = coupling_shift(ledger, j, tau, y, params)
+        shifted, report = coupling_shift(ExpirationCounter, ledger, j, tau, y,
+                                         params)
         moved = {key for key in ledger
                  if key[0] == DOMAIN_INTERVAL and shifted[key] != ledger[key]}
         expected = {(DOMAIN_INTERVAL, iv.level, iv.index)
@@ -493,12 +511,63 @@ class TestCouplingShift:
             params = MechanismParams(0.5, lam, delay)
             tau = int(rng.integers(1, 257))
             j = int(rng.integers(1, tau + 1))
-            if tau - delay < j:
-                continue
             y = float(rng.uniform(-1, 1))
             _, ledger = record_run(params, [0.0] * tau, seed=int(rng.integers(1 << 16)))
-            _, report = coupling_shift(ledger, j, tau - delay, y, params)
+            _, report = coupling_shift(ExpirationCounter, ledger, j, tau, y,
+                                       params)
             assert report.cost <= exact_loss_bound(tau - j, params) + 1e-12
+
+
+# (counter class, params) of the incidence oracle
+INCIDENCE_CASES = (
+    [pytest.param(BaselineCounter, BaselineParams(w, 1.0, 0.5),
+                  id=f"baseline-w{w}") for w in range(1, 18)]
+    + [pytest.param(ExpirationCounter, MechanismParams(1.0, lam, delay),
+                    id=f"expiration-lambda{lam:g}-delay{delay}")
+       for lam in (0.0, 1.0, 2.0) for delay in (0, 3)]
+    + [pytest.param(SimpleCounter, MechanismParams(1.0), id="simple")])
+
+
+class ScaleNoise:
+    """A noise source whose every draw is its own scale."""
+
+    def draw(self, parts, scale):
+        return scale
+
+
+class TestCouplingIncidence:
+    """Each counter's coupling rule against the draws its releases sum.
+
+    Replaying a zero stream with key i's draw set to the integer 2^i makes
+    each release's bits name the keys it sums; a noiseless run on the unit
+    stream at j shows which releases include input j.
+    """
+
+    @pytest.mark.parametrize("counter,params", INCIDENCE_CASES)
+    def test_rule_meets_each_release_of_j_once(self, counter, params):
+        T = 64
+        recorder = RecordingNoise(ScaleNoise())
+        run = counter(params, recorder)
+        for _ in range(T):
+            run.step(0)
+        scales = recorder.ledger
+        bit = {key: 1 << i for i, key in enumerate(scales)}
+        run = counter(params, ReplayNoise(bit))
+        sums = [run.step(0) for _ in range(T)]
+        budgets = {}
+        for j in range(1, T + 1):
+            run = counter(params, ZeroNoise())
+            includes = [run.step(int(t == j)) for t in range(1, T + 1)]
+            for tau in range(j, T + 1):
+                rule = counter.coupling_keys(params, j, tau)
+                budgets.update(rule)
+                keys = [key for key, _ in rule]
+                assert len(set(keys)) == len(keys)
+                mask = sum(bit[key] for key in keys)
+                met = [(s & mask).bit_count() for s in sums[:tau]]
+                assert met == includes[:tau], (j, tau)
+        # a key's budget per unit of shift is the inverse scale of its draw
+        assert budgets == pytest.approx({k: 1 / scales[k] for k in budgets})
 
 
 class TestVerifyCoupling:
@@ -515,19 +584,51 @@ class TestVerifyCoupling:
                 xs2[j - 1] = 0.0
             if xs2[j - 1] == xs[j - 1]:
                 continue
-            report = verify_coupling(xs, xs2, j, tau, params, seed=7)
+            report = verify_coupling(ExpirationCounter, xs, xs2, j, tau,
+                                     params, seed=7)
             assert report.outputs_identical
             assert report.cost <= exact_loss_bound(tau - j, params) + 1e-12
+
+    def test_baseline_within_audited_loss(self):
+        # Fraction budgets, so cost and loss compare exactly; |y| = 1
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            params = BaselineParams(int(rng.integers(1, 40)), Fraction(3, 5),
+                                    Fraction(1, 20))
+            tau = int(rng.integers(1, 100))
+            j = int(rng.integers(1, tau + 1))
+            xs = rng.integers(0, 2, size=tau).astype(float)
+            xs2 = xs.copy()
+            xs2[j - 1] = 1.0 - xs[j - 1]
+            report = verify_coupling(BaselineCounter, xs, xs2, j, tau, params,
+                                     seed=int(rng.integers(1 << 16)))
+            assert report.outputs_identical, (params.window, tau, j)
+            assert report.cost <= empirical_loss_baseline(tau - j, params, j)
+
+    def test_simple_costs_d_epsilon(self):
+        params = MechanismParams(Fraction(1, 3))
+        rng = np.random.default_rng(13)
+        for _ in range(25):
+            tau = int(rng.integers(1, 100))
+            j = int(rng.integers(1, tau + 1))
+            xs = rng.integers(0, 5, size=tau) / 4.0
+            xs2 = xs.copy()
+            xs2[j - 1] = rng.integers(0, 5) / 4.0
+            report = verify_coupling(SimpleCounter, xs, xs2, j, tau, params,
+                                     seed=int(rng.integers(1 << 16)))
+            assert report.outputs_identical, (tau, j)
+            assert report.cost == abs(report.shift) * (tau - j) * Fraction(1, 3)
 
     def test_change_in_buffer_needs_no_shift(self):
         params = MechanismParams(1.0, 1.0, 8)
         xs = np.zeros(10)
         xs2 = xs.copy()
         xs2[9] = 1.0  # inside the delay buffer at tau=10
-        report = verify_coupling(xs, xs2, 10, 10, params, seed=0)
+        report = verify_coupling(ExpirationCounter, xs, xs2, 10, 10, params,
+                                 seed=0)
         assert report.outputs_identical
         assert report.cost == 0
-        assert report.shifted_intervals == []
+        assert report.shifted_keys == []
 
     def test_rejects_non_neighbors(self):
         params = MechanismParams(1.0, 1.0, 0)
@@ -536,17 +637,18 @@ class TestVerifyCoupling:
         xs2[2] = 1.0
         xs2[5] = 1.0
         with pytest.raises(ValueError):
-            verify_coupling(xs, xs2, 3, 10, params, seed=0)
+            verify_coupling(ExpirationCounter, xs, xs2, 3, 10, params, seed=0)
 
     def test_report_is_dataclass_with_fields(self):
         params = MechanismParams(1.0, 1.0, 0)
         xs = np.zeros(6)
         xs2 = xs.copy()
         xs2[1] = 1.0
-        report = verify_coupling(xs, xs2, 2, 6, params, seed=1)
+        report = verify_coupling(ExpirationCounter, xs, xs2, 2, 6, params,
+                                 seed=1)
         assert isinstance(report, CouplingReport)
         assert report.shift == pytest.approx(1.0)
-        assert len(report.shifted_intervals) == len(decompose(2, 6))
+        assert len(report.shifted_keys) == len(decompose(2, 6))
 
 
 class TestLowerBound:

@@ -391,12 +391,22 @@ class TestUsageErrors:
         (["audit", "--mechanism", "baseline", "--window",
           "99999999999999999999", "--eps-cur", "1", "--eps-past", "1",
           "--d-max", "3", "--output", "{out}"],
-         "Python int too large to convert to C long"),
+         "--window must be at most 2^62, got 99999999999999999999"),
         (["run", "--epsilon", "1", "--generator", "bernoulli(0.5)",
           "--t-max", "3", "--seed", "-1", "--output", "{out}"],
          "--seed must be >= 0, got -1"),
         (["run", "--epsilon", "1", *GEN, "--seed", "-1", "--output", "{out}"],
          "--seed must be >= 0, got -1"),
+        (["run", "--mechanism", "baseline", "--window", "4611686018427387905",
+          "--eps-cur", "1", "--eps-past", "1", *GEN, "--output", "{out}"],
+         "--window must be at most 2^62, got 4611686018427387905"),
+        (["calibrate", "--mse", "100", "--t-max", "64", "--window",
+          "4611686018427387905"],
+         "--window must be at most 2^62, got 4611686018427387905"),
+        # the kernel fails after the grid is built: no directory is left
+        (["figures", "2a", "--d-max", "4611686018427387903",
+          "--output", "{out}"],
+         "d - delay + 1 must be below 2^62, got 4611686018427387904"),
     ])
     def test_one_line_and_exit_two(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
@@ -409,6 +419,18 @@ class TestUsageErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"fadecount {argv[0]}: error: {message.format(**paths)}"]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--mechanism", "baseline", "--eps-cur", "1", "--eps-past", "1",
+     "--d-max", "3", "--t-max", "9223372036854775807"],
+    ["run", "--mechanism", "baseline", "--eps-cur", "1", "--eps-past", "1",
+     "--generator", "ones", "--t-max", "5"],
+    ["calibrate", "--mse", "100", "--t-max", "64"]])
+def test_largest_window_is_accepted(tmp_path, capsys, argv):
+    # 2^62, the largest window the baseline's int64 loss kernel holds
+    out = ["--output", str(tmp_path / "out.csv")] * (argv[0] != "calibrate")
+    assert main(argv + ["--window", str(1 << 62)] + out) == 0
 
 
 # (command, mode): the argv that chooses a mechanism, and the mechanism

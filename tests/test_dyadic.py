@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fadecount.dyadic import (DyadicInterval, containing_interval, decompose,
-                              decomposition_costs, floor_log2, intersect)
+from fadecount.dyadic import (DyadicInterval, decompose, decomposition_costs,
+                              floor_log2, intersect)
 
 from audit_oracles import decomposition_level_counts
 
@@ -56,22 +56,6 @@ class TestDyadicInterval:
     def test_length_is_power_of_two(self, lvl, k):
         iv = DyadicInterval(lvl, k)
         assert iv.end - iv.start + 1 == 1 << lvl
-
-
-class TestContainingInterval:
-    def test_none_above_top_level(self):
-        assert containing_interval(5, 3) is None  # 5 >> 3 == 0
-        assert containing_interval(1, 1) is None
-
-    @given(st.integers(1, 1 << 20), st.integers(0, 21))
-    @settings(max_examples=100)
-    def test_contains_its_point(self, t, lvl):
-        iv = containing_interval(t, lvl)
-        if t >> lvl >= 1:
-            assert iv is not None and iv.level == lvl and t in iv
-            assert iv.index == t >> lvl
-        else:
-            assert iv is None
 
 
 class TestIntersect:

@@ -13,8 +13,8 @@ from fadecount import mechanisms
 from fadecount.dyadic import floor_log2
 from fadecount.mechanisms import (DOMAIN_INTERVAL, DOMAIN_PAST, DOMAIN_STEP,
                                   DOMAIN_TREE, BaselineCounter, BaselineParams,
-                                  ExpirationCounter, LogarithmicCounter,
-                                  MechanismParams, RecordingNoise, ReplayNoise,
+                                  ExpirationCounter, MechanismParams,
+                                  RecordingNoise, ReplayNoise,
                                   SeededNoise, SimpleCounter,
                                   expiration_max_and_mse_batch,
                                   expiration_noise_totals, run_expiration,
@@ -223,12 +223,6 @@ class TestExpirationCounter:
         for _ in range(50):
             c.step(1.0)
             assert c.buffer_len <= delay
-
-    def test_logarithmic_counter_is_special_case(self):
-        a = LogarithmicCounter(0.3, SeededNoise(6))
-        b = ExpirationCounter(MechanismParams(0.3, 1.0, 0), SeededNoise(6))
-        for _ in range(100):
-            assert a.step(1.0) == b.step(1.0)
 
     def test_determinism(self):
         mk = lambda: ExpirationCounter(MechanismParams(0.9, 2.0, 2),
