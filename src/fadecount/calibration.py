@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dyadic import floor_log2
 from .mechanisms import BaselineParams, MechanismParams, _check_finite
 from .noise import concentration_threshold
 
@@ -28,26 +27,20 @@ def analytic_mse_expiration(params: MechanismParams, T: int) -> float:
     """Average noise variance of the expiration counter over outputs 1..T.
 
     Output t > delay carries variance 2 * sum_{l=0}^{floor(log2 p)}
-    (1+l)^(2(1-level_exponent)) / eps^2 at release position p = t - delay;
-    delayed outputs carry 0.  Summed exactly by grouping positions with
-    equal floor(log2 p).
+    variance_weight(l) / eps^2 at release position p = t - delay; delayed
+    outputs carry 0.  Summed exactly by grouping positions with equal
+    floor(log2 p).
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     positions = T - params.delay
     if positions < 1:
         return 0.0
-    lam = params.level_exponent
     inv_eps_sq = 1.0 / (params.epsilon * params.epsilon)
     total = 0.0
-    cum = 0.0
-    lvl = 0
-    while (1 << lvl) <= positions:
-        lo = 1 << lvl
-        hi = min(positions, (1 << (lvl + 1)) - 1)
-        cum += (1.0 + lvl) ** (2.0 * (1.0 - lam))
-        total += (hi - lo + 1) * 2.0 * cum * inv_eps_sq
-        lvl += 1
+    for lvl, cum in enumerate(params.variance_sums(positions.bit_length())):
+        count = min(positions, (2 << lvl) - 1) - (1 << lvl) + 1
+        total += count * 2.0 * cum * inv_eps_sq
     return total / T
 
 
@@ -56,12 +49,10 @@ def popcount_total(m: int) -> int:
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     total = 0
-    bit = 0
-    while (1 << bit) <= m:
+    for bit in range(m.bit_length()):
         period = 1 << (bit + 1)
         half = 1 << bit
         total += (m + 1) // period * half + max(0, (m + 1) % period - half)
-        bit += 1
     return total
 
 
@@ -197,5 +188,5 @@ def error_bound_expiration(t: int, beta: float,
     if t <= params.delay:
         raise ValueError(f"t must exceed the delay {params.delay}, got {t}")
     scales = [params.level_scale(lvl)
-              for lvl in range(floor_log2(t - params.delay) + 1)]
+              for lvl in range((t - params.delay).bit_length())]
     return params.delay + concentration_threshold(scales, beta)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -55,7 +56,7 @@ def _check_finite(**values):
 
 @dataclass(frozen=True)
 class MechanismParams:
-    """Parameters of the delayed level-budgeted counter.
+    """Parameters and level schedule of the delayed level-budgeted counter.
 
     epsilon         privacy parameter (> 0)
     level_exponent  exponent shaping per-level noise: the scale of a level-l
@@ -84,6 +85,23 @@ class MechanismParams:
     def level_scale(self, level: int) -> float:
         """Noise scale of a level-`level` interval draw."""
         return (1.0 + level) ** (1.0 - self.level_exponent) / self.epsilon
+
+    def budget_weight(self, level: int) -> float:
+        """Budget per unit of shift of a level-`level` draw, over epsilon."""
+        return (1.0 + level) ** (self.level_exponent - 1.0)
+
+    def variance_weight(self, level: int) -> float:
+        """Variance of a level-`level` draw over 2 / epsilon^2 (not derived
+        from level_scale: 2 * scale^2 rounds differently)."""
+        return (1.0 + level) ** (2.0 * (1.0 - self.level_exponent))
+
+    def budget_sums(self, levels: int) -> list:
+        """Left-to-right sums of budget_weight over levels 0..l < levels."""
+        return list(accumulate(map(self.budget_weight, range(levels))))
+
+    def variance_sums(self, levels: int) -> list:
+        """Left-to-right sums of variance_weight over levels 0..l < levels."""
+        return list(accumulate(map(self.variance_weight, range(levels))))
 
 
 @dataclass(frozen=True)
@@ -180,9 +198,9 @@ class SimpleCounter:
     step; kept verbatim (not harmonized with the other counters' timing).
     """
 
-    def __init__(self, params: MechanismParams, noise=None):
+    def __init__(self, params: MechanismParams, noise):
         self.params = params
-        self.noise = noise if noise is not None else SeededNoise(0)
+        self.noise = noise
         self._t = 0
         self._prefix = 0
 
@@ -212,18 +230,20 @@ class ExpirationCounter:
     0..floor(log2 p).  Stepping refreshes exactly the levels whose interval
     boundary p crosses (levels 0..nu2(p), nu2 = number of trailing zero
     bits), so total redraws over P released positions are
-    sum_p (nu2(p)+1) <= 2P.
+    sum_p (nu2(p)+1) = 2P - popcount(P) <= 2P.
     """
 
-    def __init__(self, params: MechanismParams, noise=None):
+    def __init__(self, params: MechanismParams, noise):
         self.params = params
-        self.noise = noise if noise is not None else SeededNoise(0)
-        self._t = 0
+        self.noise = noise
         self._position = 0          # release position p = t - delay
         self._delayed_sum = 0       # sum of x_1..x_p
         self._buffer = deque()      # the delay most recent inputs
         self._active = {}           # level -> live noise value
-        self.redraws = 0
+
+    @property
+    def redraws(self) -> int:
+        return 2 * self._position - bin(self._position).count("1")
 
     @property
     def active_noise_count(self) -> int:
@@ -235,26 +255,21 @@ class ExpirationCounter:
 
     def step(self, x):
         x = _check_input(x)
-        self._t += 1
         delay = self.params.delay
         if delay:
             self._buffer.append(x)
-            if self._t <= delay:
+            if len(self._buffer) <= delay:
                 return 0
-            x_rel = self._buffer.popleft()
-        else:
-            x_rel = x
+            x = self._buffer.popleft()
         p = self._position = self._position + 1
-        self._delayed_sum = self._delayed_sum + x_rel
+        self._delayed_sum = self._delayed_sum + x
         # levels whose containing interval changed at p: 0..nu2(p)
         refresh = (p & -p).bit_length()  # nu2(p) + 1
         for lvl in range(refresh):
             self._active[lvl] = self.noise.draw(
                 (DOMAIN_INTERVAL, lvl, p >> lvl), self.params.level_scale(lvl))
-            self.redraws += 1
-        # live noise summed in level order, then added to the prefix: the
-        # order run_expiration uses, so both paths release identical floats
-        # (a plain loop, since sum() compensates floats on Python >= 3.12)
+        # live noise summed in level order (plain_sum's fold, inline on this
+        # hot path), then added to the prefix, as run_expiration does
         noise = 0
         for z in self._active.values():
             noise = noise + z
@@ -264,9 +279,9 @@ class ExpirationCounter:
     def coupling_keys(params: MechanismParams, j: int, tau: int) -> list:
         """The coupling rule (module docstring): release t sums one interval
         of the cover of [j, t - delay]."""
-        end, lam = tau - params.delay, params.level_exponent
+        end = tau - params.delay
         return [((DOMAIN_INTERVAL, iv.level, iv.index),
-                 params.epsilon * (1.0 + iv.level) ** (lam - 1.0))
+                 params.epsilon * params.budget_weight(iv.level))
                 for iv in (decompose(j, end) if end >= j else [])]
 
 
@@ -282,12 +297,11 @@ class BaselineCounter:
     outputs; round 1 outputs omit the past term entirely.
     """
 
-    def __init__(self, params: BaselineParams, noise=None):
+    def __init__(self, params: BaselineParams, noise):
         self.params = params
-        self.noise = noise if noise is not None else SeededNoise(0)
+        self.noise = noise
         self._t = 0
         self._total_prefix = 0     # sum of all inputs seen so far
-        self._round = 0
         self._round_sum = 0        # in-round prefix
         self._past_estimate = 0    # c_r, noisy prefix before current round
         self._tree = {}            # (level, node index) -> noise value
@@ -301,7 +315,6 @@ class BaselineCounter:
         if s == 1:
             self._tree.clear()
             self._round_sum = 0
-            self._round = r
             if r >= 2:
                 z = self.noise.draw((DOMAIN_PAST, r), 1.0 / self.params.eps_past)
                 self._past_estimate = self._total_prefix + z

@@ -13,7 +13,9 @@ cryptographic (out of scope here).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -156,6 +158,12 @@ def keyed_noise(seed: int, parts, scale: float) -> float:
     return laplace_sample(scale, prf_uniform(seed, parts))
 
 
+def plain_sum(values):
+    """values added left to right from 0: builtin sum() compensates float
+    rounding from Python 3.12 on, so its totals depend on the version."""
+    return functools.reduce(operator.add, values, 0)
+
+
 def concentration_threshold(scales, beta: float) -> float:
     """High-probability bound on |sum of independent centered Laplace draws|.
 
@@ -175,5 +183,6 @@ def concentration_threshold(scales, beta: float) -> float:
     if any(b <= 0 for b in bs):
         raise ValueError("all scales must be positive")
     log_term = math.log(2.0 / beta)
-    nu = max(math.sqrt(sum(b * b for b in bs)), max(bs) * math.sqrt(log_term))
+    nu = max(math.sqrt(plain_sum(b * b for b in bs)),
+             max(bs) * math.sqrt(log_term))
     return nu * math.sqrt(8.0 * log_term)

@@ -30,11 +30,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import floor_log2
 # bench/spans.py traces decomposition_costs under this module's name
 from .dyadic import decomposition_costs  # noqa: F401
 from .mechanisms import (BaselineParams, MechanismParams, RecordingNoise,
                          ReplayNoise, SeededNoise)
+from .noise import plain_sum
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +88,8 @@ def exact_loss_bound(d: int, params: MechanismParams) -> float:
     """
     if d < params.delay:
         return 0.0
-    n = d - params.delay + 1
-    lam = params.level_exponent
-    total = sum((1.0 + lvl) ** (lam - 1.0) for lvl in range(floor_log2(n) + 1))
-    return params.epsilon * 2.0 * total
+    levels = (d - params.delay + 1).bit_length()
+    return params.epsilon * 2.0 * params.budget_sums(levels)[-1]
 
 
 def closed_form_loss_bound(d: int, params: MechanismParams) -> float:
@@ -118,8 +116,6 @@ def closed_form_loss_bound(d: int, params: MechanismParams) -> float:
 
 def published_loss_bound(d: int, params: MechanismParams) -> float:
     """max(closed form, exact level sum) — the dominating theoretical curve."""
-    if d < params.delay:
-        return 0.0
     exact = exact_loss_bound(d, params)
     if params.level_exponent == 0 and d - params.delay + 1 < 2:
         return exact
@@ -130,9 +126,9 @@ def published_loss_bounds(params: MechanismParams, d_values) -> np.ndarray:
     """published_loss_bound at every d of a grid, bit for bit.
 
     The exact level sum depends only on L = floor_log2(d - delay + 1), so
-    it is summed once per level the grid reaches, at d = delay + 2^L - 1.
-    The closed form takes its logs and powers from math.log2, math.log and
-    pow, mapped over a block at a time: numpy's do not always round like
+    it is read off one list of running level sums up to the grid's largest
+    L.  The closed form takes its logs and powers from math.log2, math.log
+    and pow, mapped over a block at a time: numpy's do not always round like
     them.  The rest is IEEE arithmetic in closed_form_loss_bound's order,
     which numpy rounds the same.
     """
@@ -144,9 +140,8 @@ def published_loss_bounds(params: MechanismParams, d_values) -> np.ndarray:
     d = d[live]
     levels = np.searchsorted(_POWERS_OF_TWO, d - params.delay + 1,
                              side="right") - 1
-    table = np.zeros(int(levels.max()) + 1)
-    for lvl in np.unique(levels).tolist():
-        table[lvl] = exact_loss_bound(params.delay + (1 << lvl) - 1, params)
+    table = params.epsilon * 2.0 * np.array(
+        params.budget_sums(int(levels.max()) + 1))
     live_bounds = table[levels]
     lam, scale = params.level_exponent, params.epsilon * 2.0
     for lo in range(0, d.size, _BLOCK):
@@ -178,10 +173,10 @@ _LEVEL_COUNTS = np.array([[[0, 0, 1, 2], [0, 1, 2, 1]],
 
 
 def _worst_decomposition_costs(n: np.ndarray, t_max: int,
-                               level_exponent: float) -> np.ndarray:
+                               params: MechanismParams) -> np.ndarray:
     """Largest weighted cost of decompose(j, j+n-1) over j in [1, t_max].
 
-    The weight of a level-l interval is (1+l)^(level_exponent-1).  Write
+    The weight of a level-l interval is params.budget_weight(l).  Write
     u = j-1 and m = n+1.  The level-l part of the decomposition has a left
     interval iff bit l of u is 0 and a right interval iff bit l of u+m is 1,
     both only while (m >> l) + carry_l >= 2, where carry_l is the carry into
@@ -210,11 +205,10 @@ def _worst_decomposition_costs(n: np.ndarray, t_max: int,
     best = np.full((2, 2, n.size), -np.inf)
     best[0, 1] = 0.0
     for lvl in range(int(levels.max())):
-        weight = (1.0 + lvl) ** (level_exponent - 1.0)
         m_high = m >> lvl
         m_odd = m_high & 1
         # gain[u_bit, carry] = weight * (left + right intervals at this level)
-        gain = (weight * _LEVEL_COUNTS).take(
+        gain = (params.budget_weight(lvl) * _LEVEL_COUNTS).take(
             np.minimum(m_high, m_odd + 2), axis=2)
         m_bit = m_odd.astype(bool)
         cap_bit = ((cap >> lvl) & 1).astype(bool)
@@ -259,7 +253,7 @@ def _expiration_losses(params: MechanismParams, d_values,
         if live.any():
             loss[lo:lo + _BLOCK][live] = params.epsilon * \
                 _worst_decomposition_costs(block[live] - params.delay + 1,
-                                           t_max, params.level_exponent)
+                                           t_max, params)
     return loss
 
 
@@ -302,7 +296,7 @@ def _baseline_tree_maxima(params: BaselineParams, d_values, horizon: int):
       the first level-l node; it ends at 2^l <= window, so the window
       never cuts it.  Hence tree_p = #{l < k : 2^l <= S + d}.  All k
       levels count once d >= window - 1, so d is capped there (which
-      keeps S + d inside int64).
+      keeps S + d below 2 * window, inside int64 up to window 2^62).
     * after split: s+d > window, so every node ending inside the window
       counts; node ends only grow with s, so position split+1 is the
       worst.  Its level-l node ends inside the window iff
@@ -319,6 +313,8 @@ def _baseline_tree_maxima(params: BaselineParams, d_values, horizon: int):
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     w = params.window
+    if w > 1 << 62:
+        raise ValueError(f"window must be at most 2^62, got {w}")
     width = min(w, horizon)
 
     def levels_up_to(x):
@@ -398,12 +394,11 @@ def coupling_shift(counter, ledger: dict, j: int, tau: int, y,
     if not abs(y) <= 1:
         raise ValueError(f"|y| must be <= 1, got {y!r}")
     rule = counter.coupling_keys(params, j, tau)
-    keys = [key for key, _ in rule]
     shifted = dict(ledger)
-    for key in keys:
+    for key, _ in rule:
         shifted[key] = ledger[key] - y
-    cost = abs(y) * sum(budget for _, budget in rule)
-    return shifted, CouplingReport(True, cost, keys, y)
+    cost = abs(y) * plain_sum(budget for _, budget in rule)
+    return shifted, CouplingReport(True, cost, [key for key, _ in rule], y)
 
 
 def verify_coupling(counter, x, x_prime, j: int, tau: int, params,
@@ -448,9 +443,7 @@ class LowerBoundReport:
 
     Primary: sum_{j=0}^{2C-1} envelope(j) >= log(T/(6C)) / eps.
     Secondary: 2C * envelope(2C-1) >= log(T/(6C)) / (2 eps).
-    Truthiness is the primary verdict.  The log defaults to natural (the
-    bound comes from an e-exponent argument); base 2 is available for
-    comparing against plotting conventions.
+    Truthiness is the primary verdict.  Logs are natural.
     """
 
     passed: bool
@@ -459,15 +452,13 @@ class LowerBoundReport:
     secondary_passed: bool
     secondary_lhs: float
     secondary_rhs: float
-    log_base: str = "e"
 
     def __bool__(self) -> bool:
         return self.passed
 
 
 def lower_bound_check(T: int, C: int, epsilon: float,
-                      curve: PrivacyLossCurve,
-                      log_base: str = "e") -> LowerBoundReport:
+                      curve: PrivacyLossCurve) -> LowerBoundReport:
     """Check that a loss curve is consistent with the accuracy lower bound.
 
     A mechanism with additive error at most C (with constant probability)
@@ -476,12 +467,7 @@ def lower_bound_check(T: int, C: int, epsilon: float,
     """
     if not 0 < C < T / 2:
         raise ValueError(f"need 0 < C < T/2, got C={C}, T={T}")
-    if log_base == "e":
-        log_term = math.log(T / (6.0 * C))
-    elif log_base == "2":
-        log_term = math.log2(T / (6.0 * C))
-    else:
-        raise ValueError(f"log_base must be 'e' or '2', got {log_base!r}")
+    log_term = math.log(T / (6.0 * C))
     env = curve.envelope
     idx = np.searchsorted(curve.d, np.arange(2 * C), side="right") - 1
     if idx[0] < 0:
@@ -491,4 +477,4 @@ def lower_bound_check(T: int, C: int, epsilon: float,
     sec_lhs = 2.0 * C * float(env[idx[-1]])
     sec_rhs = log_term / (2.0 * epsilon)
     return LowerBoundReport(lhs >= rhs, lhs, rhs,
-                            sec_lhs >= sec_rhs, sec_lhs, sec_rhs, log_base)
+                            sec_lhs >= sec_rhs, sec_lhs, sec_rhs)

@@ -174,8 +174,9 @@ class TestScatterFreeDP:
     def test_equals_scatter_dp(self, ns, t_max, lam):
         # the search oracle reaches only small n; the scatter DP any n < 2^62
         n = np.array(ns, dtype=np.int64)
-        assert np.array_equal(_worst_decomposition_costs(n, t_max, lam),
-                              scatter_decomposition_costs(n, t_max, lam))
+        assert np.array_equal(
+            _worst_decomposition_costs(n, t_max, MechanismParams(1.0, lam)),
+            scatter_decomposition_costs(n, t_max, lam))
 
     @given(st.lists(st.integers(0, 1 << 40), min_size=1, max_size=30,
                     unique=True),
@@ -200,7 +201,8 @@ class TestScatterFreeDP:
         for lam in LAMBDAS:
             for t_max in (5, 40000, 10**18):
                 assert np.array_equal(
-                    _worst_decomposition_costs(n, t_max, lam),
+                    _worst_decomposition_costs(n, t_max,
+                                               MechanismParams(1.0, lam)),
                     scatter_decomposition_costs(n, t_max, lam))
 
 
@@ -464,7 +466,20 @@ class TestClosedFormTreeMaxima:
                 assert np.array_equal(g, o)
         _, tree_p, _ = privacy_audit._baseline_tree_maxima(
             params, ds[:3], (1 << 63) - 1)
-        assert tree_p.tolist() == [params.tree_depth] * 3
+        assert params.tree_depth == 63
+        assert tree_p.tolist() == [63] * 3
+
+    def test_window_above_2_62_is_an_error(self):
+        # 2 * window - 1 would wrap int64 and count no tree levels
+        params = BaselineParams((1 << 62) + 1, 1.0, 0.1)
+        d = params.window
+        for call in (
+                lambda: privacy_audit._baseline_tree_maxima(
+                    params, [d], (1 << 63) - 1),
+                lambda: baseline_loss_curve(params, [d], (1 << 63) - 1),
+                lambda: empirical_loss_baseline(d, params, (1 << 63) - 1)):
+            with pytest.raises(ValueError, match="window"):
+                call()
 
     def test_largest_d(self):
         # d near 2^63 stays in int64
@@ -671,13 +686,11 @@ class TestLowerBound:
         manual = sum(curve.envelope_at(j) for j in range(2 * C))
         assert report.lhs == pytest.approx(manual)
 
-    def test_rhs_value_and_log_base(self):
+    def test_rhs_value(self):
         eps = 0.1
         curve = self.make_curve(eps, 1000)
-        rep_e = lower_bound_check(1000, 100, eps, curve)
-        assert rep_e.rhs == pytest.approx(math.log(1000 / 600) / eps)
-        rep_2 = lower_bound_check(1000, 100, eps, curve, log_base="2")
-        assert rep_2.rhs == pytest.approx(math.log2(1000 / 600) / eps)
+        report = lower_bound_check(1000, 100, eps, curve)
+        assert report.rhs == pytest.approx(math.log(1000 / 600) / eps)
 
     def test_validates_c_range(self):
         eps = 0.1

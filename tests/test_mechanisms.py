@@ -106,14 +106,24 @@ class TestNoiseSources:
 
 class TestInputValidation:
     @pytest.mark.parametrize("make", [
-        lambda: SimpleCounter(MechanismParams(1.0)),
-        lambda: ExpirationCounter(MechanismParams(1.0)),
-        lambda: BaselineCounter(BaselineParams(8, 1.0, 0.1)),
+        lambda: SimpleCounter(MechanismParams(1.0), SeededNoise(0)),
+        lambda: ExpirationCounter(MechanismParams(1.0), SeededNoise(0)),
+        lambda: BaselineCounter(BaselineParams(8, 1.0, 0.1), SeededNoise(0)),
     ])
     def test_rejects_out_of_range(self, make):
         for bad in (-0.1, 1.5, 2):
             with pytest.raises(ValueError):
                 make().step(bad)
+
+    @pytest.mark.parametrize("counter,params", [
+        (SimpleCounter, MechanismParams(1.0)),
+        (ExpirationCounter, MechanismParams(1.0)),
+        (BaselineCounter, BaselineParams(8, 1.0, 0.1)),
+    ])
+    def test_noise_source_is_required(self, counter, params):
+        # no silent default seed: every run names its noise
+        with pytest.raises(TypeError):
+            counter(params)
 
     @pytest.mark.parametrize("make", [
         lambda: SimpleCounter(MechanismParams(0.7), SeededNoise(3)),
