@@ -124,30 +124,30 @@ def _build_parser() -> argparse.ArgumentParser:
 # stream sources
 
 
+def _stream_values(fh):
+    """The values of a stream file's nonblank lines, each checked."""
+    for lineno, raw in enumerate(fh, start=1):
+        text = raw.strip()
+        if text:
+            try:
+                v = float(text)
+            except ValueError:
+                raise _InputError(
+                    f"line {lineno}: {text!r} is not a decimal value")
+            if not 0.0 <= v <= 1.0:
+                raise _InputError(f"line {lineno}: value {text} outside [0,1]")
+            yield v
+
+
 def _parse_stream_file(path: str, t_max) -> np.ndarray:
-    values = []
     try:
         with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                text = raw.strip()
-                if not text:
-                    continue
-                if t_max is not None and len(values) >= t_max:
-                    break
-                try:
-                    v = float(text)
-                except ValueError:
-                    raise _InputError(
-                        f"line {lineno}: {text!r} is not a decimal value")
-                if not 0.0 <= v <= 1.0:
-                    raise _InputError(
-                        f"line {lineno}: value {text} outside [0,1]")
-                values.append(v)
-    except OSError as exc:
+            xs = np.fromiter(itertools.islice(_stream_values(fh), t_max), float)
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}")
-    if not values:
+    if not len(xs):
         raise _InputError(f"{path} contains no stream values")
-    return np.array(values)
+    return xs
 
 
 def _generate_stream(spec: str, t_max: int, seed: int) -> np.ndarray:
@@ -155,13 +155,14 @@ def _generate_stream(spec: str, t_max: int, seed: int) -> np.ndarray:
         return np.zeros(t_max)
     if spec == "ones":
         return np.ones(t_max)
-    m = re.fullmatch(r"bernoulli\(([0-9.eE+-]+)\)", spec)
+    # p is a decimal literal, which float() always parses
+    m = re.fullmatch(r"bernoulli\(([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
+                     r"(?:[eE][+-]?[0-9]+)?)\)", spec)
     if m:
         p = float(m.group(1))
         if not 0.0 <= p <= 1.0:
             raise _InputError(f"bernoulli probability {p} outside [0,1]")
-        rng = np.random.default_rng(seed)
-        return (rng.random(t_max) < p).astype(float)
+        return (np.random.default_rng(seed).random(t_max) < p).astype(float)
     raise _InputError(
         f"unknown generator {spec!r}; expected zeros, ones, or bernoulli(p)")
 

@@ -14,9 +14,10 @@ Each counter states its coupling rule, ``coupling_keys(params, j, tau)``:
 for an input change at j seen up to time tau, the noise keys to shift, each
 with its budget per unit of shift (see privacy_audit.coupling_shift).
 
-Mechanisms take no horizon: streams are unbounded, state is O(delay + log t),
-and noise upkeep is amortized O(1) per step (a binary-counter argument: the
-level-l entry is refreshed every 2^l steps).
+Mechanisms take no horizon: streams are unbounded, every counter's state is
+O(delay + log t), and noise upkeep is amortized O(1) per step (expiration
+level l is redrawn every 2^l steps; the baseline draws one tree node per step
+plus one past draw per round).
 
 Counters are deliberately generic over the numeric type of the inputs and of
 the noise values handed to them: run them with floats for production, or
@@ -292,6 +293,8 @@ class BaselineCounter:
     [1, s] is estimated by the standard binary tree over [1, W]: the
     decomposition of [1, s] follows the binary expansion of s (highest bit
     first), each node carrying one Lap(k/eps_cur) draw, k = ceil(log2(W+1)).
+    Bit l of s names node (l, s >> l), ending at (s >> l) << l, so position
+    s completes one node, (nu2(s), s >> nu2(s)): one live node per level.
     At each round start r >= 2 the true prefix of everything before the
     round gets one fresh Lap(1/eps_past) draw, shared by the round's W
     outputs; round 1 outputs omit the past term entirely.
@@ -304,7 +307,7 @@ class BaselineCounter:
         self._total_prefix = 0     # sum of all inputs seen so far
         self._round_sum = 0        # in-round prefix
         self._past_estimate = 0    # c_r, noisy prefix before current round
-        self._tree = {}            # (level, node index) -> noise value
+        self._live = [None] * params.tree_depth   # level -> live node value
 
     def step(self, x):
         x = _check_input(x)
@@ -313,27 +316,22 @@ class BaselineCounter:
         r = (self._t + w - 1) // w
         s = self._t - (r - 1) * w
         if s == 1:
-            self._tree.clear()
             self._round_sum = 0
             if r >= 2:
                 z = self.noise.draw((DOMAIN_PAST, r), 1.0 / self.params.eps_past)
                 self._past_estimate = self._total_prefix + z
         self._total_prefix = self._total_prefix + x
         self._round_sum = self._round_sum + x
-        k = self.params.tree_depth
-        scale = k / self.params.eps_cur
+        # s completes one node, (nu2(s), s >> nu2(s)): see the class docstring
+        low = (s & -s).bit_length() - 1
+        self._live[low] = self.noise.draw(
+            (DOMAIN_TREE, r, low, s >> low),
+            self.params.tree_depth / self.params.eps_cur)
         out = (0 if r == 1 else self._past_estimate) + self._round_sum
-        # walk the binary expansion of s, highest bit first
-        start = 1
+        # the live node of each set bit of s, highest bit first
         for lvl in range(s.bit_length() - 1, -1, -1):
             if s >> lvl & 1:
-                node = ((start - 1) >> lvl) + 1
-                key = (lvl, node)
-                if key not in self._tree:
-                    self._tree[key] = self.noise.draw(
-                        (DOMAIN_TREE, r, lvl, node), scale)
-                out = out + self._tree[key]
-                start += 1 << lvl
+                out = out + self._live[lvl]
         return out
 
     @staticmethod

@@ -112,10 +112,28 @@ class TestRun:
         assert "line 2" in capsys.readouterr().err
 
     def test_unknown_generator(self, tmp_path, capsys):
-        rc = main(["run", "--epsilon", "1.0", "--generator", "what",
-                   "--t-max", "5", "--output", str(tmp_path / "o.csv")])
+        # the last three look like bernoulli(p), but p is no decimal
+        for spec in ("what", "bernoulli(1e)", "bernoulli(..)",
+                     "bernoulli(+-1)"):
+            rc = main(["run", "--epsilon", "1.0", "--generator", spec,
+                       "--t-max", "5", "--output", str(tmp_path / "o.csv")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("input error: ") and "generator" in err
+            assert err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        stream = tmp_path / "xs.txt"
+        stream.write_bytes(b"0.5\n\xff\xfe\x00\n1\n")
+        out = tmp_path / "o.csv"
+        rc = main(["run", "--epsilon", "1.0", "--input", str(stream),
+                   "--output", str(out)])
         assert rc == 1
-        assert "generator" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot read ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_bernoulli_generator_is_deterministic(self, tmp_path):
         outs = []

@@ -20,7 +20,7 @@ from fadecount.mechanisms import (DOMAIN_INTERVAL, DOMAIN_PAST, DOMAIN_STEP,
                                   expiration_noise_totals, run_expiration,
                                   run_simple)
 from fadecount.noise import keyed_noise
-from noise_oracles import gather_noise_totals
+from noise_oracles import WalkBaselineCounter, gather_noise_totals
 
 streams = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1,
                    max_size=120)
@@ -306,16 +306,70 @@ class TestBaselineCounter:
         assert outs[4] == pytest.approx(past + z2)
 
     def test_noise_draw_count_is_lazy(self):
-        # within a round, a tree node's draw happens once even if reused
-        rec = RecordingNoise(SeededNoise(0))
-        c = BaselineCounter(BaselineParams(8, 1.0, 0.1), rec)
-        for _ in range(8):
-            c.step(0.5)
-        tree_keys = [key for key in rec.ledger if key[0] == DOMAIN_TREE]
-        # nodes touched over a full round of W=8: level-0 odd singletons
-        # 1,3,5,7, level-1 nodes 1,3, level-2 node 1, level-3 node 1 — the 8
-        # aligned blocks the prefixes [1,s] decompose into, each drawn once
-        assert len(tree_keys) == len(set(tree_keys)) == 8
+        # every draw is listed, with no cache to hide a repeat: each step
+        # draws the one node its position completes, (nu2(s), s >> nu2(s)),
+        # after the round's past draw at s = 1 of rounds r >= 2
+        class Listing:
+            def __init__(self):
+                self.list = []
+
+            def draw(self, parts, scale):
+                self.list.append((parts, scale))
+                return keyed_noise(0, parts, scale)
+
+        for window in (1, 6, 8):
+            params = BaselineParams(window, 1.0, 0.1)
+            draws = Listing()
+            c = BaselineCounter(params, draws)
+            want = []
+            for t in range(1, 3 * window + 1):
+                r, s = (t - 1) // window + 1, (t - 1) % window + 1
+                if s == 1 and r >= 2:
+                    want.append(((DOMAIN_PAST, r), 1.0 / params.eps_past))
+                low = (s & -s).bit_length() - 1
+                want.append(((DOMAIN_TREE, r, low, s >> low),
+                             params.tree_depth / params.eps_cur))
+                c.step(0.5)
+                assert draws.list == want
+
+    @given(st.integers(1, 130), st.integers(1, 4), st.integers(0, 129),
+           st.integers(0, 2**64 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_releases_equal_walk_oracle(self, window, rounds, extra, seed,
+                                        exact):
+        # the walk draws the same keys at the same scales and sums in the
+        # same order: equal releases, in floats and in Fraction arithmetic
+        params = BaselineParams(window, 0.7, 0.07)
+        rng = np.random.default_rng(seed % 1000)
+        xs = rng.random(rounds * window + extra % window).tolist()
+        noise = SeededNoise(seed)
+        if exact:
+            xs = [Fraction(x) for x in xs]
+            noise = types.SimpleNamespace(
+                draw=lambda parts, scale: Fraction(keyed_noise(seed, parts,
+                                                               scale)))
+        live = BaselineCounter(params, noise)
+        walk = WalkBaselineCounter(params, noise)
+        for x in xs:
+            got, want = live.step(x), walk.step(x)
+            assert got == want and type(got) is type(want)
+
+    def test_state_is_one_node_per_level(self):
+        # one live node per level is a list of tree_depth values; a cache of
+        # the round's nodes grows to W entries (WalkBaselineCounter traces
+        # 557 KiB over this round)
+        params = BaselineParams(4095, 0.7, 0.07)
+        noise = SeededNoise(3)
+        tracemalloc.start()
+        try:
+            c = BaselineCounter(params, noise)
+            for _ in range(params.window):
+                c.step(0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 10
+        assert len(c._live) == params.tree_depth == 12
 
     def test_determinism(self):
         params = BaselineParams(8, 0.7, 0.07)
