@@ -27,8 +27,9 @@ import sys
 import numpy as np
 
 from .calibration import calibrate_baseline, calibrate_epsilon, optimal_ratio
-from .mechanisms import (BaselineCounter, BaselineParams, ExpirationCounter,
-                         MechanismParams, SeededNoise, SimpleCounter)
+from .mechanisms import (BaselineCounter, BaselineParams, MechanismParams,
+                         SeededNoise, expiration_noise_range,
+                         simple_noise_range)
 from .privacy_audit import (baseline_loss_curve, empirical_loss_curve,
                             published_loss_bounds)
 # bench/spans.py traces published_loss_bound under this module's name
@@ -124,16 +125,20 @@ def _build_parser() -> argparse.ArgumentParser:
 # stream sources
 
 
+# a decimal literal in ASCII digits, which float() always parses; float()
+# alone also takes '1_0', 'nan' and digits of other scripts
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def _stream_values(fh):
     """The values of a stream file's nonblank lines, each checked."""
     for lineno, raw in enumerate(fh, start=1):
         text = raw.strip()
         if text:
-            try:
-                v = float(text)
-            except ValueError:
+            if not _DECIMAL.fullmatch(text):
                 raise _InputError(
                     f"line {lineno}: {text!r} is not a decimal value")
+            v = float(text)
             if not 0.0 <= v <= 1.0:
                 raise _InputError(f"line {lineno}: value {text} outside [0,1]")
             yield v
@@ -155,10 +160,8 @@ def _generate_stream(spec: str, t_max: int, seed: int) -> np.ndarray:
         return np.zeros(t_max)
     if spec == "ones":
         return np.ones(t_max)
-    # p is a decimal literal, which float() always parses
-    m = re.fullmatch(r"bernoulli\(([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
-                     r"(?:[eE][+-]?[0-9]+)?)\)", spec)
-    if m:
+    m = re.fullmatch(r"bernoulli\((.*)\)", spec)
+    if m and _DECIMAL.fullmatch(m.group(1)):
         p = float(m.group(1))
         if not 0.0 <= p <= 1.0:
             raise _InputError(f"bernoulli probability {p} outside [0,1]")
@@ -192,8 +195,9 @@ def _check_d_max(parser, args):
 
 
 # rows formatted and written per block, so memory does not grow with the
-# row count
-_CSV_BLOCK = 1 << 12
+# row count; `run` also draws its noise per block.  A block of 2^10 rows
+# holds about 0.45 MiB; 2^12 rows held 1.6 MiB and ran `run` about 5% faster
+_CSV_BLOCK = 1 << 10
 
 
 def _column_text(column: np.ndarray) -> list:
@@ -209,12 +213,17 @@ def _column_text(column: np.ndarray) -> list:
 
 
 def _write_csv(fh, header: str, columns) -> None:
-    """Write header and one row per index of equal-length numeric columns
-    (int64 or float64); a None column is an empty field in every row."""
+    """Write header, then the rows of _write_rows."""
+    fh.write(header + "\n")
+    _write_rows(fh, columns)
+
+
+def _write_rows(fh, columns) -> None:
+    """Write one row per index of equal-length numeric columns (int64 or
+    float64); a None column is an empty field in every row."""
     columns = [None if c is None else np.asarray(c) for c in columns]
     size = len(next(c for c in columns if c is not None))
     row = ",".join(["{}"] * len(columns)) + "\n"
-    fh.write(header + "\n")
     for lo in range(0, size, _CSV_BLOCK):
         n = min(_CSV_BLOCK, size - lo)
         fields = [itertools.repeat("", n) if c is None
@@ -303,6 +312,43 @@ def _loss_curve(parser, args, params, d_values, horizon):
     return _checked(parser, args, loss, params, d_values, horizon)
 
 
+def _running_sums(xs: np.ndarray, carry):
+    """(running sums of xs continuing from carry, the last of them): each
+    added in turn, as a loop from carry would, so 0.0 + -0.0 gives 0.0."""
+    sums = xs.copy()
+    sums[0] += carry
+    np.cumsum(sums, out=sums)
+    return sums, sums[-1]
+
+
+def _release_blocks(mechanism: str, params, xs: np.ndarray, seed: int):
+    """The mechanism's releases over xs, one array per _CSV_BLOCK of steps.
+
+    The baseline steps one BaselineCounter.  The other mechanisms release 0
+    up to step lag, then at step t the prefix sum through position
+    p = t - lag plus p's noise (lag 1 for simple, the delay otherwise), the
+    counters' values bit for bit; a block draws only its positions' noise.
+    """
+    if mechanism == "baseline":
+        step = BaselineCounter(params, SeededNoise(seed)).step
+        for lo in range(0, len(xs), _CSV_BLOCK):
+            yield np.fromiter(map(step, xs[lo:lo + _CSV_BLOCK].tolist()),
+                              float)
+        return
+    lag, noise = ((1, simple_noise_range) if mechanism == "simple"
+                  else (params.delay, expiration_noise_range))
+    prefix = 0.0
+    for lo in range(0, len(xs), _CSV_BLOCK):
+        hi = min(lo + _CSV_BLOCK, len(xs))
+        out = np.zeros(hi - lo)
+        first, last = max(1, lo + 1 - lag), hi - lag   # positions released
+        if last >= first:
+            sums, prefix = _running_sums(xs[first - 1:last], prefix)
+            out[first + lag - 1 - lo:] = sums + noise(params, first, last,
+                                                      seed)
+        yield out
+
+
 def cmd_run(args, parser) -> int:
     if (args.input is None) == (args.generator is None):
         _usage_error(parser, args,
@@ -314,22 +360,19 @@ def cmd_run(args, parser) -> int:
     if args.seed < 0:
         _usage_error(parser, args, f"--seed must be >= 0, got {args.seed}")
     params, _, _ = _checked(parser, args, mechanism_params, args)
-    counter = {"simple": SimpleCounter, "baseline": BaselineCounter}.get(
-        args.mechanism, ExpirationCounter)(params, SeededNoise(args.seed))
     if args.input is not None:
         xs = _parse_stream_file(args.input, args.t_max)
     else:
         xs = _generate_stream(args.generator, args.t_max, args.seed)
-    # one f-string per row rather than _write_csv: run's floats are nearly
-    # all distinct, so _column_text's per-block np.unique does not pay off
     with _open_output(parser, args) as fh:
         fh.write("t,true_sum,released,abs_error\n")
         true_sum = 0.0
-        for t, x in enumerate(xs, start=1):
-            x = float(x)
-            true_sum += x
-            released = float(counter.step(x))
-            fh.write(f"{t},{true_sum!r},{released!r},{abs(released - true_sum)!r}\n")
+        blocks = _release_blocks(args.mechanism, params, xs, args.seed)
+        for lo, released in zip(range(0, len(xs), _CSV_BLOCK), blocks):
+            sums, true_sum = _running_sums(xs[lo:lo + len(released)],
+                                           true_sum)
+            _write_rows(fh, [np.arange(lo + 1, lo + len(released) + 1), sums,
+                             released, np.abs(released - sums)])
     return 0
 
 

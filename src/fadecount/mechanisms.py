@@ -355,8 +355,9 @@ class BaselineCounter:
 #
 # These produce exactly the same numbers as the scalar counters above — the
 # noise keys, the PRF lane and the summation order are shared — but evaluate
-# whole streams with numpy.  Used on long streams and by the Monte Carlo
-# checks, where stepping a Python loop 10^4 x 1024 times would dominate.
+# streams with numpy.  The noise kernels take any range of positions, so
+# `fadecount run` draws one block of rows at a time and the Monte Carlo
+# checks and run_expiration the whole stream at once.
 
 
 # draws per pass of the noise-total kernel: its scratch is three arrays of
@@ -364,21 +365,23 @@ class BaselineCounter:
 _CHUNK = 1 << 15
 
 
-def _draw_chunks(positions: int):
-    """The kernel's draw stream, level-major, cut into chunks of _CHUNK draws.
+def _draw_chunks(first: int, last: int):
+    """The kernel's draw stream over release positions first..last,
+    level-major, cut into chunks of _CHUNK draws.
 
-    Level l contributes draws 1..positions >> l.  Yields, per chunk, its
+    Level l contributes the draws first >> l .. last >> l that exist (draw 0
+    does not: level l starts at position 2^l).  Yields, per chunk, its
     segments (level, first draw, offset in the chunk, count) in stream
     order; a level may span several chunks and a chunk may hold many levels.
     """
     segments, used = [], 0
-    for lvl in range(floor_log2(positions) + 1):
-        first, last = 1, positions >> lvl
-        while first <= last:
-            count = min(last - first + 1, _CHUNK - used)
-            segments.append((lvl, first, used, count))
+    for lvl in range(floor_log2(last) + 1):
+        k, end = max(1, first >> lvl), last >> lvl
+        while k <= end:
+            count = min(end - k + 1, _CHUNK - used)
+            segments.append((lvl, k, used, count))
             used += count
-            first += count
+            k += count
             if used == _CHUNK:
                 yield segments
                 segments, used = [], 0
@@ -386,56 +389,82 @@ def _draw_chunks(positions: int):
         yield segments
 
 
-def expiration_noise_totals(params: MechanismParams, positions: int,
-                            seed: int) -> np.ndarray:
-    """Total interval noise at release positions 1..positions (index 0 unused).
+def _add_noise_totals(total: np.ndarray, params: MechanismParams, first: int,
+                      seed: int) -> None:
+    """Add the total interval noise at release positions first.. (first >= 1),
+    one per element of `total`, into `total` (zeros on entry).
 
     Every level's draws form one stream, processed a chunk at a time in
     reused scratch: the keys of all the chunk's segments, one in-place PRF
     pass, one in-place Laplace pass with a per-segment scale.  Level l's
-    draw k covers positions k*2^l .. (k+1)*2^l - 1, so each segment is
-    added over a (blocks, 2^l) view of the totals, plus a scalar add for a
-    partial last block.  Chunks follow the stream, so levels are added in
-    ascending order, the order ExpirationCounter.step sums them in.
+    draw k covers positions k*2^l .. (k+1)*2^l - 1, so the draws of a
+    segment wholly inside the range are added over a (draws, 2^l) view of
+    the totals, plus a scalar add for each clipped one (the range's first
+    and last at that level).  Chunks follow the stream, so levels are added
+    in ascending order, the order ExpirationCounter.step sums them in.
     """
-    if positions < 0:
-        raise ValueError(f"positions must be >= 0, got {positions}")
-    total = np.zeros(positions + 1)
-    if positions < 1:
-        return total
-    size = min(_CHUNK, 2 * positions)      # the stream has < 2*positions draws
-    ramp = np.arange(size, dtype=np.uint64)
-    keys = np.empty(size, dtype=np.uint64)
-    z = np.empty(size)
-    levels = range(floor_log2(positions) + 1)
+    size, last = len(total), first + len(total) - 1
+    if size < 1:
+        return
+    levels = range(floor_log2(last) + 1)
+    # level l has at most (size - 1) / 2^l + 2 draws in the range
+    scratch = min(_CHUNK, 2 * (size + len(levels)))
+    ramp = np.arange(scratch, dtype=np.uint64)
+    keys = np.empty(scratch, dtype=np.uint64)
+    z = np.empty(scratch)
     offsets = [_prf_key_offset(seed, (DOMAIN_INTERVAL, lvl)) for lvl in levels]
     scales = [params.level_scale(lvl) for lvl in levels]
-    for segments in _draw_chunks(positions):
-        _lvl, _first, at, count = segments[-1]
+    for segments in _draw_chunks(first, last):
+        _lvl, _k, at, count = segments[-1]
         n = at + count
-        for lvl, first, at, count in segments:
-            np.add(ramp[:count], np.uint64((offsets[lvl] + first) & _MASK64),
+        for lvl, k, at, count in segments:
+            np.add(ramp[:count], np.uint64((offsets[lvl] + k) & _MASK64),
                    out=keys[at:at + count])
         u = _prf_uniform_inplace(keys[:n], z[:n].view(np.uint64))
         _laplace_inplace(u, z[:n], [(slice(at, at + count), scales[lvl])
-                                    for lvl, _first, at, count in segments])
-        for lvl, first, at, count in segments:
+                                    for lvl, _k, at, count in segments])
+        for lvl, k, at, count in segments:
             width = 1 << lvl
-            full = (positions + 1) >> lvl  # blocks wholly inside 0..positions
-            stop = min(first + count, full)
-            if stop > first:
-                dst = total[first * width:stop * width]
-                src = z[at:at + stop - first]
+            start = (k << lvl) - first      # where draw k begins in total
+            head = 1 if start < 0 else 0    # draw k begins before total
+            whole = min(count, (size - start) // width)  # ends inside total
+            if whole > head:
+                dst = total[start + head * width:start + whole * width]
+                src = z[at + head:at + whole]
                 if width <= 4:
                     # a broadcast runs numpy's inner loop along rows this
                     # short; one strided add per column is about twice as fast
                     for j in range(width):
                         dst[j::width] += src
                 else:
-                    blocks = dst.reshape(stop - first, width)
+                    blocks = dst.reshape(whole - head, width)
                     blocks += src[:, None]
-            if first + count > full:
-                total[full * width:] += z[at + count - 1]
+            if head:
+                total[:start + width] += z[at]
+            if max(whole, head) < count:    # the last draw ends past total
+                total[start + (count - 1) * width:] += z[at + count - 1]
+
+
+def expiration_noise_range(params: MechanismParams, first: int, last: int,
+                           seed: int) -> np.ndarray:
+    """Total interval noise at release positions first..last (first >= 1;
+    empty when last < first).  A range draws only the intervals that meet
+    it: at most two per position plus two per level."""
+    if first < 1:
+        raise ValueError(f"first must be >= 1, got {first}")
+    total = np.zeros(max(0, last - first + 1))
+    _add_noise_totals(total, params, first, seed)
+    return total
+
+
+def expiration_noise_totals(params: MechanismParams, positions: int,
+                            seed: int) -> np.ndarray:
+    """Total interval noise at release positions 1..positions (index 0
+    unused): expiration_noise_range over the whole stream."""
+    if positions < 0:
+        raise ValueError(f"positions must be >= 0, got {positions}")
+    total = np.zeros(positions + 1)
+    _add_noise_totals(total[1:], params, 1, seed)
     return total
 
 
@@ -453,14 +482,21 @@ def run_expiration(params: MechanismParams, xs: np.ndarray,
     return out
 
 
+def simple_noise_range(params: MechanismParams, first: int, last: int,
+                       seed: int) -> np.ndarray:
+    """SimpleCounter's draws (DOMAIN_STEP, s) for s = first..last."""
+    u = prf_uniform_array(seed, (DOMAIN_STEP,),
+                          np.arange(first, last + 1, dtype=np.uint64))
+    return laplace_sample_array(1.0 / params.epsilon, u)
+
+
 def run_simple(params: MechanismParams, xs: np.ndarray, seed: int) -> np.ndarray:
+    """Released values of SimpleCounter over the whole stream xs."""
     T = len(xs)
     out = np.zeros(T)
     if T >= 2:
-        u = prf_uniform_array(seed, (DOMAIN_STEP,),
-                              np.arange(1, T, dtype=np.uint64))
-        z = laplace_sample_array(1.0 / params.epsilon, u)
-        out[1:] = np.cumsum(xs[:-1]) + z
+        out[1:] = np.cumsum(xs[:-1]) + simple_noise_range(params, 1, T - 1,
+                                                          seed)
     return out
 
 

@@ -6,8 +6,12 @@
 * ``WalkBaselineCounter``: the package's baseline keeps one live tree node
   per level; the walk over the binary expansion of s with a per-round node
   cache that it replaced lives here, unchanged.
+* ``step_loop_run``: ``fadecount run`` writes its CSV a block of rows at a
+  time from the vectorized noise kernels; the loop of one ``step`` and one
+  f-string per row that it replaced lives here, unchanged.
 
-The tests hold the package's paths to these, bit for bit.
+The tests hold the package's paths to these, bit for bit (``run``'s CSV
+byte for byte).
 """
 
 import numpy as np
@@ -78,3 +82,14 @@ class WalkBaselineCounter(BaselineCounter):
                 out = out + self._tree[key]
                 start += 1 << lvl
         return out
+
+
+def step_loop_run(fh, counter, xs) -> None:
+    """Write `fadecount run`'s CSV of counter over the stream xs to fh."""
+    fh.write("t,true_sum,released,abs_error\n")
+    true_sum = 0.0
+    for t, x in enumerate(xs, start=1):
+        x = float(x)
+        true_sum += x
+        released = float(counter.step(x))
+        fh.write(f"{t},{true_sum!r},{released!r},{abs(released - true_sum)!r}\n")

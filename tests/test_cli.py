@@ -1,18 +1,26 @@
 import csv
 import io
+import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fadecount import cli
 from fadecount.cli import main
-from fadecount.mechanisms import (BaselineParams, MechanismParams,
-                                  run_expiration)
+from fadecount.mechanisms import (BaselineCounter, BaselineParams,
+                                  ExpirationCounter, MechanismParams,
+                                  SeededNoise, SimpleCounter, run_expiration)
 from fadecount.privacy_audit import (empirical_loss_baseline,
                                      empirical_loss_expiration,
                                      published_loss_bound)
+from noise_oracles import step_loop_run
 
 
 def read_csv(path):
@@ -103,6 +111,37 @@ class TestRun:
         assert rc == 1
         assert "contains no stream values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["0.2_5", "1_0", "\u0660.\u0665",
+                                      "nan", "infinity"])
+    def test_value_that_is_not_a_decimal(self, tmp_path, capsys, text):
+        # float() takes all of these; a stream file holds decimals only
+        stream = tmp_path / "xs.txt"
+        stream.write_text(f"0.5\n{text}\n")
+        out = tmp_path / "o.csv"
+        rc = main(["run", "--epsilon", "1.0", "--input", str(stream),
+                   "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"input error: line 2: {text!r} is not a decimal value\n")
+        assert not out.exists()
+
+    def test_decimal_forms_parse(self, tmp_path, capsys):
+        lines = ["1e-3", ".5", "+0.5", "1.", " 0.5 ", "-0", "5E-1"]
+        stream = tmp_path / "xs.txt"
+        stream.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.csv"
+        rc = main(["run", "--epsilon", "1.0", "--input", str(stream),
+                   "--output", str(out)])
+        assert rc == 0
+        sums = [float(row["true_sum"]) for row in read_csv(out)]
+        assert sums == list(np.cumsum([float(v) for v in lines]))
+        # '5.' is a decimal too, so it is out of range, not unparsable
+        stream.write_text("5.\n")
+        rc = main(["run", "--epsilon", "1.0", "--input", str(stream),
+                   "--output", str(out)])
+        assert rc == 1
+        assert "line 1: value 5. outside [0,1]" in capsys.readouterr().err
+
     def test_out_of_range_value(self, tmp_path, capsys):
         stream = tmp_path / "xs.txt"
         stream.write_text("0.5\n1.5\n")
@@ -170,6 +209,119 @@ class TestRun:
             main(["run", "--epsilon", "1.0",
                   "--output", str(tmp_path / "o.csv")])
         assert exc.value.code == 2
+
+
+# run's flags, counter and its parameters at a delay, per mechanism; only
+# expiration reads --delay
+_RUN_MECHANISMS = {
+    "simple": (["--epsilon", "0.5"], SimpleCounter,
+               lambda delay: MechanismParams(0.5)),
+    "log": (["--epsilon", "0.5"], ExpirationCounter,
+            lambda delay: MechanismParams(0.5)),
+    "expiration": (["--epsilon", "0.7", "--lambda", "2"], ExpirationCounter,
+                   lambda delay: MechanismParams(0.7, 2.0, delay)),
+    "baseline": (["--window", "5", "--eps-cur", "0.6", "--eps-past", "0.06"],
+                 BaselineCounter, lambda delay: BaselineParams(5, 0.6, 0.06)),
+}
+
+
+def _run_and_oracle(workdir, mech, delay, source, xs, seed):
+    """(bytes `run` wrote, bytes the per-row step loop writes) for stream
+    xs, given as an --input file of reprs or as --generator bernoulli(0.4)
+    (then xs must be what it draws)."""
+    flags, counter, params = _RUN_MECHANISMS[mech]
+    argv = ["run", "--mechanism", mech, *flags, "--seed", str(seed)]
+    if mech == "expiration":
+        argv += ["--delay", str(delay)]
+    if source == "input":
+        path = os.path.join(workdir, "xs.txt")
+        with open(path, "w") as fh:
+            fh.writelines(f"{x!r}\n" for x in xs)
+        argv += ["--input", path]
+    else:
+        argv += ["--generator", "bernoulli(0.4)", "--t-max", str(len(xs))]
+    out = os.path.join(workdir, "run.csv")
+    assert main([*argv, "--output", out]) == 0
+    want = io.StringIO()
+    step_loop_run(want, counter(params(delay), SeededNoise(seed)), xs)
+    with open(out, "rb") as fh:
+        return fh.read(), want.getvalue().encode()
+
+
+def _bernoulli_stream(t_max, seed):
+    """What --generator bernoulli(0.4) draws."""
+    return (np.random.default_rng(seed).random(t_max) < 0.4).astype(float)
+
+
+class TestRunBlocks:
+    """`run` writes blocks of rows from the vectorized kernels (the baseline
+    steps its counter); the per-row step loop it replaced is the oracle."""
+
+    @given(st.sampled_from(sorted(_RUN_MECHANISMS)),
+           st.sampled_from([0, 1, 16]),
+           st.sampled_from(["input", "generator"]),
+           st.sampled_from([1, 2, 3] + [8 * k + d for k in range(1, 6)
+                                        for d in (-1, 0, 1)]),
+           st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]),
+                              st.floats(0.0, 1.0)), min_size=41,
+                    max_size=41),
+           st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_small_blocks_equal_step_loop(self, mech, delay, source, t_max,
+                                          values, seed):
+        xs = (values[:t_max] if source == "input"
+              else _bernoulli_stream(t_max, seed))
+        with tempfile.TemporaryDirectory() as workdir, \
+                mock.patch.object(cli, "_CSV_BLOCK", 8):
+            got, want = _run_and_oracle(workdir, mech, delay, source, xs,
+                                        seed)
+        assert got == want
+
+    @pytest.mark.parametrize("mech,delay,blocks,extra", [
+        *((mech, 0, 1, extra) for mech in sorted(_RUN_MECHANISMS)
+          for extra in (-1, 0, 1)),
+        ("expiration", 16, 2, 1)])
+    def test_blocks_equal_step_loop(self, tmp_path, mech, delay, blocks,
+                                    extra):
+        t_max = blocks * cli._CSV_BLOCK + extra
+        xs = _bernoulli_stream(t_max, 5)
+        got, want = _run_and_oracle(str(tmp_path), mech, delay, "generator",
+                                    xs, 5)
+        assert got == want
+
+    def test_float_input_file_equals_step_loop(self, tmp_path):
+        xs = np.random.default_rng(8).random(4097).tolist()
+        got, want = _run_and_oracle(str(tmp_path), "expiration", 16, "input",
+                                    xs, 9)
+        assert got == want
+
+    def test_memory_does_not_grow_with_steps(self, tmp_path, monkeypatch):
+        # the traced peak after the stream is built, less the stream's own
+        # 8 bytes a value: one block's columns, CSV text and kernel scratch
+        generate = cli._generate_stream
+
+        def generate_then_reset_peak(*args):
+            xs = generate(*args)
+            tracemalloc.reset_peak()
+            return xs
+
+        monkeypatch.setattr(cli, "_generate_stream", generate_then_reset_peak)
+        argv = ["run", "--mechanism", "expiration", "--epsilon", "0.5",
+                "--lambda", "2", "--delay", "16", "--generator",
+                "bernoulli(0.3)", "--output", str(tmp_path / "o.csv")]
+        assert main([*argv, "--t-max", "5000"]) == 0  # first-call imports
+        extra = {}
+        for t_max in (1 << 16, 1 << 18):
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--t-max", str(t_max)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra[t_max] = peak - 8 * t_max
+        # 0.43 MiB at both sizes when measured
+        assert max(extra.values()) < 1 << 20
+        assert abs(extra[1 << 18] - extra[1 << 16]) < 64 << 10
 
 
 class TestAudit:

@@ -4,8 +4,10 @@
 file.  Its first 16 lines were captured before the audit's output path
 moved onto grid kernels, the next 8 before the baseline's tree counts moved
 to a closed form, and the `run_*`/`calibrate_*` lines before the CLI's
-flags moved onto one flags-to-parameters path, so it pins the CSVs (and
-the `calibrate` stdout) those changes must reproduce byte for byte.
+flags moved onto one flags-to-parameters path, and the `*_multiblock`/
+`run_input_long` lines before `run` moved onto blocks of the vectorized
+kernels, so it pins the CSVs (and the `calibrate` stdout) those changes must
+reproduce byte for byte.
 Print a fresh copy with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
@@ -27,6 +29,15 @@ DIGESTS = pathlib.Path(__file__).resolve().parent / "data" / "audit_digests.txt"
 _GRID = ["--mse", "1000", "--d-max", "2000", "--t-max", "100000"]
 _BERNOULLI = ["--generator", "bernoulli(0.3)", "--t-max", "3000",
               "--seed", "11"]
+# many blocks of `run`'s CSV writer, the last one partial
+_LONG = 3 * 4096 + 17
+_MULTIBLOCK = ["--generator", "bernoulli(0.3)", "--t-max", str(_LONG),
+               "--seed", "11"]
+_RUN_FLAGS = (("simple", ["--epsilon", "0.5"]),
+              ("log", ["--epsilon", "0.5"]),
+              ("expiration", ["--epsilon", "0.5", "--lambda", "2"]),
+              ("baseline", ["--window", "31", "--eps-cur", "0.6",
+                            "--eps-past", "0.06"]))
 
 # (output name, argv without --output); figures write into a directory
 CASES = [
@@ -51,12 +62,7 @@ CASES = [
     ("figures_5a", ["figures", "5a", "--d-max", "2000"]),
     *((f"run_{mech}.csv",
        ["run", "--mechanism", mech, *flags, *_BERNOULLI])
-      for mech, flags in (("simple", ["--epsilon", "0.5"]),
-                          ("log", ["--epsilon", "0.5"]),
-                          ("expiration",
-                           ["--epsilon", "0.5", "--lambda", "2"]),
-                          ("baseline", ["--window", "31", "--eps-cur", "0.6",
-                                        "--eps-past", "0.06"]))),
+      for mech, flags in _RUN_FLAGS),
     ("run_input.csv",
      ["run", "--mechanism", "expiration", "--epsilon", "0.3", "--lambda",
       "1.5", "--delay", "4", "--input", "{input}", "--seed", "7"]),
@@ -64,6 +70,15 @@ CASES = [
        ["run", "--mechanism", "expiration", "--epsilon", "0.5", "--lambda",
         "3", "--delay", delay, *_BERNOULLI])
       for delay in ("0", "16")),
+    *((f"run_{mech}_multiblock.csv",
+       ["run", "--mechanism", mech, *flags, *_MULTIBLOCK])
+      for mech, flags in _RUN_FLAGS),
+    ("run_expiration_delay16_multiblock.csv",
+     ["run", "--mechanism", "expiration", "--epsilon", "0.5", "--lambda",
+      "3", "--delay", "16", *_MULTIBLOCK]),
+    ("run_input_long.csv",
+     ["run", "--mechanism", "expiration", "--epsilon", "0.3", "--lambda",
+      "1.5", "--delay", "4", "--input", "{long_input}", "--seed", "7"]),
     # calibrate writes to stdout, which the case captures as its file
     ("calibrate_expiration.txt",
      ["calibrate", "--mse", "1000", "--t-max", "1000", "--lambda", "2",
@@ -81,10 +96,14 @@ def _digest(path) -> str:
     return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
 
-def _write_stream(path) -> None:
-    """A fixed 2000-value input stream, with a few blank lines."""
+# input-file placeholders of the argv lists, by stream length
+_INPUTS = {"{input}": 2000, "{long_input}": _LONG}
+
+
+def _write_stream(path, length) -> None:
+    """A fixed input stream of `length` values, with a few blank lines."""
     with open(path, "w") as fh:
-        for i in range(2000):
+        for i in range(length):
             blank = "\n" if i % 500 == 0 else ""
             fh.write(f"{i * 37 % 101 / 100}\n{blank}")
 
@@ -92,10 +111,11 @@ def _write_stream(path) -> None:
 def case_digests(name, argv, workdir) -> dict:
     """Run one case in workdir; sha256 of every file it wrote, by name."""
     out = os.path.join(workdir, name)
-    if "{input}" in argv:
-        stream = os.path.join(workdir, "stream.txt")
-        _write_stream(stream)
-        argv = [stream if a == "{input}" else a for a in argv]
+    for placeholder, length in _INPUTS.items():
+        if placeholder in argv:
+            stream = os.path.join(workdir, "stream.txt")
+            _write_stream(stream, length)
+            argv = [stream if a == placeholder else a for a in argv]
     if argv[0] == "calibrate":
         with open(out, "w") as fh, contextlib.redirect_stdout(fh):
             assert main(argv) == 0

@@ -17,6 +17,7 @@ from fadecount.mechanisms import (DOMAIN_INTERVAL, DOMAIN_PAST, DOMAIN_STEP,
                                   RecordingNoise, ReplayNoise,
                                   SeededNoise, SimpleCounter,
                                   expiration_max_and_mse_batch,
+                                  expiration_noise_range,
                                   expiration_noise_totals, run_expiration,
                                   run_simple)
 from fadecount.noise import keyed_noise
@@ -437,6 +438,58 @@ class TestVectorizedRunners:
         seed = 2**64 - 5
         assert np.array_equal(expiration_noise_totals(params, positions, seed),
                               gather_noise_totals(params, positions, seed))
+
+    @given(st.one_of(st.integers(1, 300),
+                     st.sampled_from([(1 << k) + o for k in range(18)
+                                      for o in (-1, 0, 1)]).map(
+                         lambda a: max(a, 1))),
+           st.one_of(st.integers(0, 300), st.integers(16384, 40000)),
+           st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+           st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_range_equals_gather_oracle(self, first, count, lam, seed):
+        # ranges of 2^14 positions and more cross a 2^15-draw chunk boundary;
+        # starts at and either side of a power of two cut levels mid-draw
+        params = MechanismParams(0.8, lam, 0)
+        last = first + count - 1
+        want = gather_noise_totals(params, max(last, 0), seed)[first:last + 1]
+        assert np.array_equal(
+            expiration_noise_range(params, first, last, seed), want)
+
+    @given(st.integers(1, 600), st.integers(0, 600), st.integers(1, 64),
+           st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_range_in_small_chunks_equals_gather_oracle(self, first, count,
+                                                        chunk, seed):
+        params = MechanismParams(0.8, 2.0, 0)
+        last = first + count - 1
+        want = gather_noise_totals(params, max(last, 0), seed)[first:last + 1]
+        with mock.patch.object(mechanisms, "_CHUNK", chunk):
+            got = expiration_noise_range(params, first, last, seed)
+        assert np.array_equal(got, want)
+
+    def test_range_draws_only_its_positions(self):
+        # one position at 2^20 takes one draw per level: 21, not 2^21
+        params, p, seed = MechanismParams(0.8, 1.5), 1 << 20, 6
+        finish = mechanisms._prf_uniform_inplace
+        drawn = []
+
+        def counting(keys, scratch):
+            drawn.append(len(keys))
+            return finish(keys, scratch)
+
+        with mock.patch.object(mechanisms, "_prf_uniform_inplace", counting):
+            got = expiration_noise_range(params, p, p, seed)
+        assert sum(drawn) == 21
+        want = 0
+        for lvl in range(21):
+            want = want + keyed_noise(seed, (DOMAIN_INTERVAL, lvl, p >> lvl),
+                                      params.level_scale(lvl))
+        assert got.tolist() == [want]
+
+    def test_range_rejects_position_zero(self):
+        with pytest.raises(ValueError, match="first"):
+            expiration_noise_range(MechanismParams(1.0), 0, 5, seed=1)
 
     def test_kernel_scratch_is_bounded(self):
         # the output plus scratch of about one chunk, not a copy per level
