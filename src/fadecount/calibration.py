@@ -141,7 +141,13 @@ def calibrate_baseline(target_mse: float, T: int, window: int,
         raise ValueError(f"target_mse must be positive, got {target_mse}")
     if ratio <= 0:
         raise ValueError(f"ratio must be positive, got {ratio}")
-    unit = analytic_mse_baseline(BaselineParams(window, 1.0, ratio), T)
+    # at unit eps_cur the past draws' variance is a sum over ratio^2, which
+    # has no float value once ratio^2 underflows to 0 or the sum overflows
+    unit = (analytic_mse_baseline(BaselineParams(window, 1.0, ratio), T)
+            if ratio * ratio > 0 else math.inf)
+    if unit == math.inf:
+        raise ValueError(f"ratio is too small for a finite past-draw "
+                         f"variance, got {ratio!r}")
     eps_cur = math.sqrt(unit / target_mse)
     eps_past = ratio * eps_cur
     achieved = analytic_mse_baseline(

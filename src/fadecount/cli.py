@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 bad input data, 2 usage errors.  ``audit``,
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import itertools
 import os
@@ -28,15 +29,15 @@ import numpy as np
 
 from .calibration import calibrate_baseline, calibrate_epsilon, optimal_ratio
 from .mechanisms import (BaselineCounter, BaselineParams, MechanismParams,
-                         SeededNoise, expiration_noise_range,
-                         simple_noise_range)
-from .privacy_audit import (baseline_loss_curve, empirical_loss_curve,
-                            published_loss_bounds)
+                         SeededNoise, expiration_noise_range, lagged_releases,
+                         running_sums, simple_noise_range)
+from .privacy_audit import (PrivacyLossCurve, baseline_loss_curve,
+                            empirical_loss_curve, published_loss_bounds)
 # bench/spans.py traces published_loss_bound under this module's name
 from .privacy_audit import published_loss_bound  # noqa: F401
 
 # the series of each reference figure, by the flags calibrate would take
-# for it (each calibrated to MSE 1000)
+# for it (each calibrated to MSE 1000); a series' file is tagged by its flags
 _LAMBDAS = [{"level_exponent": lam} for lam in (1.0, 2.0, 3.0)]
 _FIGURES = {
     "2a": [{"level_exponent": 2.0}],
@@ -47,6 +48,8 @@ _FIGURES = {
     "5b": _LAMBDAS + [{"window": w, "optimal_ratio": True}
                       for w in (127, 1023)],
 }
+_TAGS = {"level_exponent": "lambda{:g}", "window": "window{}",
+         "optimal_ratio": "_optratio"}
 
 
 class _InputError(Exception):
@@ -81,8 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "calibrating the baseline (default 0.1)")
 
     p_run = sub.add_parser("run", help="stream a mechanism, write CSV releases")
-    mechanism_flags(p_run, ["simple", "log", "expiration", "baseline"],
-                    ratio=False)
+    mechanism_flags(p_run, MECHANISMS, ratio=False)
     p_run.add_argument("--t-max", type=int,
                        help="steps to run (required with --generator; with "
                             "--input, truncates the stream)")
@@ -94,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--output", required=True)
 
     p_audit = sub.add_parser("audit", help="emit worst-case privacy-loss curve")
-    mechanism_flags(p_audit, ["expiration", "baseline"])
+    mechanism_flags(p_audit, MECHANISMS)
     p_audit.add_argument("--mse", type=float,
                          help="calibrate parameters to this MSE first")
     p_audit.add_argument("--d-max", type=int, required=True)
@@ -243,11 +245,6 @@ def _open_output(parser, args):
 # subcommands
 
 
-# the flags each mechanism reads, by argparse dest; with --mse the budget
-# flags are not read, and the baseline reads --ratio or --optimal-ratio
-_READS = {"simple": {"epsilon"}, "log": {"epsilon"},
-          "expiration": {"epsilon", "level_exponent", "delay"},
-          "baseline": {"window", "eps_cur", "eps_past"}}
 _BUDGETS = {"epsilon", "eps_cur", "eps_past"}
 # every flag that selects or shapes a mechanism, in the order a stray or
 # missing one is reported
@@ -257,40 +254,14 @@ _FLAGS = {"epsilon": "--epsilon", "level_exponent": "--lambda",
           "optimal_ratio": "--optimal-ratio"}
 
 
-def mechanism_params(args, horizon=None):
-    """(params, calibration, ratio) of the mechanism that args (argparse
-    dests; a missing one is not given) chooses.  With --mse, params is
-    calibrated to it over horizon, calibration is the calibrate_* result and
-    ratio the baseline's eps_past/eps_cur; else both are None.  A flag the
-    mechanism does not read, or a missing one it needs, is a ValueError."""
-    given = {d: v for d in _FLAGS  # by identity: a given 0 counts as given
-             if (v := getattr(args, d, None)) is not None and v is not False}
-    mse, optimal = getattr(args, "mse", None), "optimal_ratio" in given
-    mech = getattr(args, "mechanism", None)
-    if mech is None:  # calibrate: --window picks the baseline
-        mech = "baseline" if "window" in given else "expiration"
-        stray = ("{} needs --window" if mech == "expiration" else
-                 "{} is not read with --window" + " --optimal-ratio" * optimal)
-    else:
-        stray = "{} is not read by --mechanism " + mech + (
-            " with --mse" if mse is not None else "")
-    reads = _READS[mech] - (_BUDGETS if mse is not None else set())
-    if mse is not None and mech == "baseline":
-        reads |= {"optimal_ratio" if optimal else "ratio"}
-    for dest in given:  # the first stray flag, in _FLAGS order
-        if dest not in reads:
-            raise ValueError(stray.format(_FLAGS[dest]))
-    missing = reads & (_BUDGETS | {"window"}) - given.keys()
-    if missing:
-        raise ValueError(f"--mechanism {mech} needs " + " and ".join(
-            flag for dest, flag in _FLAGS.items() if dest in missing)
-            + (" or --mse" if "mse" in args else ""))
+def _expiration_params(given, mse, horizon):
     lam, delay = given.get("level_exponent", 1.0), given.get("delay", 0)
-    if mech != "baseline":
-        cal = None if mse is None else calibrate_epsilon(mse, horizon, lam,
-                                                         delay)
-        eps = given["epsilon"] if cal is None else cal.epsilon
-        return MechanismParams(eps, lam, delay), cal, None
+    cal = None if mse is None else calibrate_epsilon(mse, horizon, lam, delay)
+    eps = given["epsilon"] if cal is None else cal.epsilon
+    return MechanismParams(eps, lam, delay), cal, None
+
+
+def _baseline_params(given, mse, horizon):
     window = given["window"]
     # the baseline's loss kernel sums up to 2 * window - 1 in int64
     if window > 1 << 62:
@@ -298,7 +269,7 @@ def mechanism_params(args, horizon=None):
     if mse is None:
         return (BaselineParams(window, given["eps_cur"], given["eps_past"]),
                 None, None)
-    if optimal:
+    if "optimal_ratio" in given:
         ratio, cal = optimal_ratio(mse, horizon, window)
     else:
         ratio = given.get("ratio", 0.1)
@@ -306,47 +277,83 @@ def mechanism_params(args, horizon=None):
     return BaselineParams(window, cal.eps_cur, cal.eps_past), cal, ratio
 
 
-def _loss_curve(parser, args, params, d_values, horizon):
-    loss = (baseline_loss_curve if isinstance(params, BaselineParams)
-            else empirical_loss_curve)
-    return _checked(parser, args, loss, params, d_values, horizon)
+def _baseline_releases(params, xs, seed, block):
+    step = BaselineCounter(params, SeededNoise(seed)).step
+    for lo in range(0, len(xs), block):
+        yield np.fromiter(map(step, xs[lo:lo + block].tolist()), float)
 
 
-def _running_sums(xs: np.ndarray, carry):
-    """(running sums of xs continuing from carry, the last of them): each
-    added in turn, as a loop from carry would, so 0.0 + -0.0 gives 0.0."""
-    sums = xs.copy()
-    sums[0] += carry
-    np.cumsum(sums, out=sums)
-    return sums, sums[-1]
+# What --mechanism chooses: the flags a family reads (argparse dests), and
+# with --mse the flags its calibration reads in place of the budgets (None:
+# no --mse); params(given, mse, horizon) -> (params, calibration, ratio);
+# releases(params, xs, seed, block), an array per block of steps; its
+# loss(params, d_values, horizon) curve; its published bound(params,
+# d_values), or None.  The lambdas look up at each call the functions that
+# bench/spans.py traces in this module.
+_Family = collections.namedtuple("_Family",
+                                 "reads tuning params releases loss bound")
+_EXPIRATION = _Family(
+    {"epsilon", "level_exponent", "delay"}, set(), _expiration_params,
+    lambda p, xs, seed, block: lagged_releases(
+        p, xs, seed, p.delay, expiration_noise_range, block),
+    lambda *a: empirical_loss_curve(*a), published_loss_bounds)
+MECHANISMS = {
+    # composition (Chan, Shi and Song): an input is in d fresh-draw releases;
+    # it reads --epsilon alone, as MechanismParams at the other defaults
+    "simple": _Family(
+        {"epsilon"}, None, _expiration_params,
+        lambda p, xs, seed, block: lagged_releases(
+            p, xs, seed, 1, simple_noise_range, block),
+        lambda p, d_values, _: PrivacyLossCurve(d_values,
+                                                p.epsilon * d_values),
+        None),
+    # the logarithmic counter: expiration at lambda 1, delay 0
+    "log": _EXPIRATION._replace(reads={"epsilon"}),
+    "expiration": _EXPIRATION,
+    "baseline": _Family(
+        {"window", "eps_cur", "eps_past"}, {"ratio", "optimal_ratio"},
+        _baseline_params, _baseline_releases,
+        lambda *a: baseline_loss_curve(*a), None),
+}
 
 
-def _release_blocks(mechanism: str, params, xs: np.ndarray, seed: int):
-    """The mechanism's releases over xs, one array per _CSV_BLOCK of steps.
-
-    The baseline steps one BaselineCounter.  The other mechanisms release 0
-    up to step lag, then at step t the prefix sum through position
-    p = t - lag plus p's noise (lag 1 for simple, the delay otherwise), the
-    counters' values bit for bit; a block draws only its positions' noise.
-    """
-    if mechanism == "baseline":
-        step = BaselineCounter(params, SeededNoise(seed)).step
-        for lo in range(0, len(xs), _CSV_BLOCK):
-            yield np.fromiter(map(step, xs[lo:lo + _CSV_BLOCK].tolist()),
-                              float)
-        return
-    lag, noise = ((1, simple_noise_range) if mechanism == "simple"
-                  else (params.delay, expiration_noise_range))
-    prefix = 0.0
-    for lo in range(0, len(xs), _CSV_BLOCK):
-        hi = min(lo + _CSV_BLOCK, len(xs))
-        out = np.zeros(hi - lo)
-        first, last = max(1, lo + 1 - lag), hi - lag   # positions released
-        if last >= first:
-            sums, prefix = _running_sums(xs[first - 1:last], prefix)
-            out[first + lag - 1 - lo:] = sums + noise(params, first, last,
-                                                      seed)
-        yield out
+def mechanism_params(args, horizon=None):
+    """(family, params, calibration, ratio) that args (argparse dests; a
+    missing one is not given) choose: by --mechanism, else by --window.
+    With --mse, params is calibrated to it over horizon, calibration is the
+    calibrate_* result and ratio the baseline's eps_past/eps_cur; else both
+    are None.  A flag the family does not read, or a missing one it needs,
+    is a ValueError."""
+    given = {d: v for d in _FLAGS  # by identity: a given 0 counts as given
+             if (v := getattr(args, d, None)) is not None and v is not False}
+    mse, optimal = getattr(args, "mse", None), "optimal_ratio" in given
+    mech = getattr(args, "mechanism", None)
+    if mech is not None:
+        stray = "{} is not read by --mechanism " + mech + (
+            " with --mse" if mse is not None else "")
+    elif "window" in given:  # calibrate and figures
+        mech = "baseline"
+        stray = "{} is not read with --window" + " --optimal-ratio" * optimal
+    else:
+        mech, stray = "expiration", "{} needs --window"
+    family = MECHANISMS[mech]
+    reads = family.reads
+    if mse is not None:
+        if family.tuning is None:
+            raise ValueError(f"--mse is not read by --mechanism {mech}")
+        # --optimal-ratio takes the place of --ratio
+        reads = reads - _BUDGETS | family.tuning - (
+            {"ratio"} if optimal else set())
+    for dest in given:  # the first stray flag, in _FLAGS order
+        if dest not in reads:
+            raise ValueError(stray.format(_FLAGS[dest]))
+    missing = reads & (_BUDGETS | {"window"}) - given.keys()
+    if missing:
+        raise ValueError(f"--mechanism {mech} needs " + " and ".join(
+            flag for dest, flag in _FLAGS.items() if dest in missing)
+            + (" or --mse" if "mse" in args and family.tuning is not None
+               else ""))
+    return (family, *family.params(given, mse, horizon))
 
 
 def cmd_run(args, parser) -> int:
@@ -355,23 +362,29 @@ def cmd_run(args, parser) -> int:
                      "exactly one of --input / --generator is required")
     if args.generator is not None and args.t_max is None:
         _usage_error(parser, args, "--generator needs --t-max")
-    if args.t_max is not None and args.t_max < 1:
-        _usage_error(parser, args, f"--t-max must be >= 1, got {args.t_max}")
+    if args.t_max is not None and not 1 <= args.t_max < 1 << 62:
+        _usage_error(parser, args, "--t-max must be " + (
+            ">= 1" if args.t_max < 1 else "below 2^62")
+            + f", got {args.t_max}")
     if args.seed < 0:
         _usage_error(parser, args, f"--seed must be >= 0, got {args.seed}")
-    params, _, _ = _checked(parser, args, mechanism_params, args)
+    family, params, _, _ = _checked(parser, args, mechanism_params, args)
     if args.input is not None:
         xs = _parse_stream_file(args.input, args.t_max)
     else:
-        xs = _generate_stream(args.generator, args.t_max, args.seed)
+        try:
+            xs = _generate_stream(args.generator, args.t_max, args.seed)
+        except (ValueError, MemoryError):
+            _usage_error(parser, args, f"--t-max {args.t_max} is too long "
+                         "for --generator: numpy cannot allocate the stream")
     with _open_output(parser, args) as fh:
         fh.write("t,true_sum,released,abs_error\n")
         true_sum = 0.0
-        blocks = _release_blocks(args.mechanism, params, xs, args.seed)
+        blocks = family.releases(params, xs, args.seed, _CSV_BLOCK)
         for lo, released in zip(range(0, len(xs), _CSV_BLOCK), blocks):
-            sums, true_sum = _running_sums(xs[lo:lo + len(released)],
-                                           true_sum)
-            _write_rows(fh, [np.arange(lo + 1, lo + len(released) + 1), sums,
+            sums = np.empty(len(released))
+            true_sum = running_sums(xs[lo:lo + len(sums)], true_sum, sums)
+            _write_rows(fh, [np.arange(lo + 1, lo + len(sums) + 1), sums,
                              released, np.abs(released - sums)])
     return 0
 
@@ -381,11 +394,12 @@ def cmd_audit(args, parser) -> int:
     if args.t_max is not None and args.t_max < 1:
         _usage_error(parser, args, f"--t-max must be >= 1, got {args.t_max}")
     horizon = args.t_max if args.t_max is not None else args.d_max + 1
-    params, _, _ = _checked(parser, args, mechanism_params, args, horizon)
+    family, params, _, _ = _checked(parser, args, mechanism_params, args,
+                                    horizon)
     d_values = np.arange(args.d_max + 1)
-    curve = _loss_curve(parser, args, params, d_values, horizon)
-    theoretical = (None if isinstance(params, BaselineParams)
-                   else published_loss_bounds(params, d_values))
+    curve = _checked(parser, args, family.loss, params, d_values, horizon)
+    theoretical = (None if family.bound is None
+                   else family.bound(params, d_values))
     with _open_output(parser, args) as fh:
         _write_csv(fh, "d,loss_empirical,loss_envelope,loss_theoretical",
                    [d_values, curve.loss, curve.envelope, theoretical])
@@ -393,14 +407,14 @@ def cmd_audit(args, parser) -> int:
 
 
 def cmd_calibrate(args, parser) -> int:
-    params, cal, ratio = _checked(parser, args, mechanism_params, args,
-                                  args.t_max)
+    family, _, cal, ratio = _checked(parser, args, mechanism_params, args,
+                                     args.t_max)
     if args.optimal_ratio:
         print(f"ratio = {ratio:.4g} ({ratio!r})")
-    for name in (("eps_cur", "eps_past") if isinstance(params, BaselineParams)
-                 else ("epsilon",)):
-        value = getattr(cal, name)
-        print(f"{name} = {value:.4g} ({value!r})")
+    for name in _FLAGS:  # the budgets the family reads, calibrated
+        if name in family.reads & _BUDGETS:
+            value = getattr(cal, name)
+            print(f"{name} = {value:.4g} ({value!r})")
     print(f"achieved_mse = {cal.achieved_mse!r}")
     return 0
 
@@ -418,11 +432,6 @@ def _figure_d_grid(d_max: int) -> np.ndarray:
     return np.array(sorted(ds))
 
 
-def _write_series(path: str, d_values, losses) -> None:
-    with open(path, "w") as fh:
-        _write_csv(fh, "d,loss", [d_values, losses])
-
-
 def cmd_figures(args, parser) -> int:
     figure = args.figure
     outdir = args.output
@@ -434,23 +443,21 @@ def cmd_figures(args, parser) -> int:
     files = {}
     for series in _FIGURES[figure]:
         flags = argparse.Namespace(mse=1000.0, **series)
-        params, _, _ = _checked(parser, args, mechanism_params, flags, T)
-        if isinstance(params, BaselineParams):
-            tag = f"window{params.window}" + (
-                "_optratio" if "optimal_ratio" in series else "")
-        else:
-            tag = f"lambda{params.level_exponent:g}"
-        curve = _loss_curve(parser, args, params, d_values, T)
+        family, params, _, _ = _checked(parser, args, mechanism_params,
+                                        flags, T)
+        tag = "".join(_TAGS[flag].format(v) for flag, v in series.items())
+        curve = _checked(parser, args, family.loss, params, d_values, T)
         files[f"fig{figure}_{tag}.csv"] = curve.envelope
         if figure == "2a":
             files[f"fig{figure}_theoretical_{tag}.csv"] = \
-                published_loss_bounds(params, d_values)
+                family.bound(params, d_values)
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         _usage_error(parser, args, f"cannot create {outdir}: {exc.strerror}")
     for name, losses in files.items():
-        _write_series(os.path.join(outdir, name), d_values, losses)
+        with open(os.path.join(outdir, name), "w") as fh:
+            _write_csv(fh, "d,loss", [d_values, losses])
     return 0
 
 

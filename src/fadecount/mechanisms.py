@@ -55,6 +55,19 @@ def _check_finite(**values):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_scale(name: str, given: str, compute, *args):
+    """Reject a noise scale or budget compute(*args) that is not a positive
+    finite float, by name, with the parameters it is computed from
+    (ValueError); an OverflowError computing it counts as infinite."""
+    try:
+        value = compute(*args)
+    except OverflowError:
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite float, got "
+                         f"{value!r} ({given})")
+
+
 @dataclass(frozen=True)
 class MechanismParams:
     """Parameters and level schedule of the delayed level-budgeted counter.
@@ -82,6 +95,14 @@ class MechanismParams:
                 f"level_exponent must be nonnegative, got {self.level_exponent}")
         if self.delay < 0 or int(self.delay) != self.delay:
             raise ValueError(f"delay must be a nonnegative integer, got {self.delay}")
+        # levels 0 and 62 are the ends of the kernels' level range, and each
+        # is monotone in the level, so these bound every level between
+        for name in ("level_scale", "budget_weight"):
+            for level in (0, 62):
+                _check_scale(f"{name}({level})",
+                             f"epsilon {self.epsilon!r}, level_exponent "
+                             f"{self.level_exponent!r}",
+                             getattr(self, name), level)
 
     def level_scale(self, level: int) -> float:
         """Noise scale of a level-`level` interval draw."""
@@ -119,6 +140,12 @@ class BaselineParams:
         _check_finite(eps_cur=self.eps_cur, eps_past=self.eps_past)
         if self.eps_cur <= 0 or self.eps_past <= 0:
             raise ValueError("both eps values must be positive")
+        # the scales BaselineCounter draws at
+        _check_scale("tree_depth/eps_cur",
+                     f"window {self.window}, eps_cur {self.eps_cur!r}",
+                     lambda: self.tree_depth / self.eps_cur)
+        _check_scale("1/eps_past", f"eps_past {self.eps_past!r}",
+                     lambda: 1.0 / self.eps_past)
 
     @property
     def tree_depth(self) -> int:
@@ -356,8 +383,8 @@ class BaselineCounter:
 # These produce exactly the same numbers as the scalar counters above — the
 # noise keys, the PRF lane and the summation order are shared — but evaluate
 # streams with numpy.  The noise kernels take any range of positions, so
-# `fadecount run` draws one block of rows at a time and the Monte Carlo
-# checks and run_expiration the whole stream at once.
+# lagged_releases draws one block of rows at a time for `fadecount run`,
+# and the whole stream at once for run_expiration and run_simple.
 
 
 # draws per pass of the noise-total kernel: its scratch is three arrays of
@@ -468,18 +495,38 @@ def expiration_noise_totals(params: MechanismParams, positions: int,
     return total
 
 
+def running_sums(xs: np.ndarray, carry, out: np.ndarray):
+    """Write into out the running sums of xs from carry, each added in turn
+    as step() adds them (so 0.0 + -0.0 gives 0.0); return the last."""
+    out[:] = xs
+    out[0] += carry
+    return np.cumsum(out, out=out)[-1]
+
+
+def lagged_releases(params, xs: np.ndarray, seed: int, lag: int,
+                    noise_range, block: int):
+    """Releases of a counter that outputs 0 up to step lag, then at step t
+    the prefix through position p = t - lag plus p's noise, one array per
+    `block` steps: SimpleCounter's (lag 1, simple_noise_range) and
+    ExpirationCounter's (lag delay, expiration_noise_range) bit for bit.  A
+    block draws only its positions' noise and adds it in place."""
+    prefix = 0.0
+    for lo in range(0, len(xs), block):
+        out = np.zeros(min(block, len(xs) - lo))
+        first, last = max(1, lo + 1 - lag), lo + len(out) - lag
+        if last >= first:
+            released = out[first + lag - 1 - lo:]
+            prefix = running_sums(xs[first - 1:last], prefix, released)
+            released += noise_range(params, first, last, seed)
+        yield out
+
+
 def run_expiration(params: MechanismParams, xs: np.ndarray,
                    seed: int) -> np.ndarray:
     """Released values of ExpirationCounter over the whole stream xs."""
-    T = len(xs)
-    out = np.zeros(T)
-    P = T - params.delay
-    if P >= 1:
-        noise = expiration_noise_totals(params, P, seed)
-        released = out[params.delay:]
-        np.cumsum(xs[:P], out=released)
-        released += noise[1:]
-    return out
+    return next(lagged_releases(params, xs, seed, params.delay,
+                                expiration_noise_range, max(1, len(xs))),
+                np.zeros(0))
 
 
 def simple_noise_range(params: MechanismParams, first: int, last: int,
@@ -492,12 +539,8 @@ def simple_noise_range(params: MechanismParams, first: int, last: int,
 
 def run_simple(params: MechanismParams, xs: np.ndarray, seed: int) -> np.ndarray:
     """Released values of SimpleCounter over the whole stream xs."""
-    T = len(xs)
-    out = np.zeros(T)
-    if T >= 2:
-        out[1:] = np.cumsum(xs[:-1]) + simple_noise_range(params, 1, T - 1,
-                                                          seed)
-    return out
+    return next(lagged_releases(params, xs, seed, 1, simple_noise_range,
+                                max(1, len(xs))), np.zeros(0))
 
 
 def expiration_max_and_mse_batch(params: MechanismParams, positions: int,

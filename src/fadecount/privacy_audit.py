@@ -336,10 +336,13 @@ def empirical_loss_baseline(d: int, params: BaselineParams, horizon: int):
     """Worst-case loss of the baseline at elapsed time d.
 
     An input at round position s is charged (eps_cur/k) for every tree node
-    containing s whose interval has ended by observation time (those node
-    sums can appear in outputs), plus eps_past for every later round whose
-    past prefix has been released by then.  Both counts depend only on s,
-    so the maximization runs over one window of positions.
+    containing s whose interval has ended by observation time, plus
+    eps_past for every later round whose past prefix has been released by
+    then.  Both counts depend only on s, so the maximization runs over one
+    window of positions.  This bounds the coupling cost
+    (BaselineCounter.coupling_keys) but is not tight: it also charges the
+    even-indexed nodes, which no release sums and the counter never draws
+    (at window 31 and d 0 it charges five nodes, the coupling one).
 
     Generic over the numeric type of eps_cur/eps_past, in which the two
     candidate worst cases are evaluated: pass Fractions to get exact values

@@ -17,6 +17,7 @@ from fadecount.cli import main
 from fadecount.mechanisms import (BaselineCounter, BaselineParams,
                                   ExpirationCounter, MechanismParams,
                                   SeededNoise, SimpleCounter, run_expiration)
+from fadecount.noise import plain_sum
 from fadecount.privacy_audit import (empirical_loss_baseline,
                                      empirical_loss_expiration,
                                      published_loss_bound)
@@ -383,6 +384,85 @@ class TestAudit:
         assert not out.exists()
 
 
+# per family of the CLI's table: (counter, params, audit flags) cases
+_COUPLED = {
+    "simple": [(SimpleCounter, MechanismParams(0.3), ["--epsilon", "0.3"])],
+    "log": [(ExpirationCounter, MechanismParams(0.5), ["--epsilon", "0.5"])],
+    "expiration": [
+        (ExpirationCounter, MechanismParams(0.7, lam, delay),
+         ["--epsilon", "0.7", "--lambda", str(lam), "--delay", str(delay)])
+        for lam in (0, 1, 2, 3) for delay in (0, 3)],
+    "baseline": [(BaselineCounter, BaselineParams(31, 0.6, 0.06),
+                  ["--window", "31", "--eps-cur", "0.6",
+                   "--eps-past", "0.06"])],
+}
+_COUPLED_CASES = [(mech, *case) for mech, cases in _COUPLED.items()
+                  for case in cases]
+_COUPLED_IDS = ["-".join([mech] + [f.lstrip("-") for f in flags])
+                for mech, _c, _p, flags in _COUPLED_CASES]
+
+
+def _audit_and_coupling(tmp_path, mech, counter, params, flags):
+    """(audited loss, largest coupling cost C) at every d <= 63 of a stream
+    of 64 inputs: C(d) is the largest cost of counter.coupling_keys over
+    j <= 64 at tau = j + d, its budgets summed in the rule's order."""
+    out = tmp_path / "audit.csv"
+    assert main(["audit", "--mechanism", mech, *flags, "--d-max", "63",
+                 "--t-max", "64", "--output", str(out)]) == 0
+    loss = np.array([float(r["loss_empirical"]) for r in read_csv(out)])
+    cost = np.array([max(plain_sum(b for _, b in counter.coupling_keys(
+        params, j, j + d)) for j in range(1, 65)) for d in range(64)])
+    return loss, cost
+
+
+class TestAuditAgainstCoupling:
+    """Each family's audit against the coupling rule of its counter.
+
+    The audit and the rule add the same budgets in different orders, so
+    they may differ by rounding: 1e-12 relative is allowed either way."""
+
+    def test_every_family_is_covered(self):
+        assert set(_COUPLED) == set(cli.MECHANISMS)
+
+    @pytest.mark.parametrize("mech,counter,params,flags", _COUPLED_CASES,
+                             ids=_COUPLED_IDS)
+    def test_audit_dominates_coupling(self, tmp_path, mech, counter, params,
+                                      flags):
+        loss, cost = _audit_and_coupling(tmp_path, mech, counter, params,
+                                         flags)
+        assert np.all(loss >= cost * (1 - 1e-12))
+
+    @pytest.mark.parametrize("mech,counter,params,flags", [
+        pytest.param(*case, marks=pytest.mark.xfail(
+            strict=True, reason="the baseline's audit charges even tree "
+            "nodes, which no release sums") if case[0] == "baseline" else ())
+        for case in _COUPLED_CASES], ids=_COUPLED_IDS)
+    def test_audit_equals_coupling(self, tmp_path, mech, counter, params,
+                                   flags):
+        loss, cost = _audit_and_coupling(tmp_path, mech, counter, params,
+                                         flags)
+        np.testing.assert_allclose(loss, cost, rtol=1e-12, atol=0)
+
+    def test_simple_writes_epsilon_times_d(self, tmp_path):
+        out = tmp_path / "audit.csv"
+        assert main(["audit", "--mechanism", "simple", "--epsilon", "0.3",
+                     "--d-max", "5", "--output", str(out)]) == 0
+        rows = read_csv(out)
+        assert [float(r["loss_empirical"]) for r in rows] == \
+            [0.3 * d for d in range(6)]
+        assert [r["loss_theoretical"] for r in rows] == [""] * 6
+
+    def test_log_is_expiration_at_lambda_one_without_delay(self, tmp_path):
+        outs = []
+        for flags in (["--mechanism", "log"],
+                      ["--lambda", "1", "--delay", "0"]):
+            out = tmp_path / "audit.csv"
+            assert main(["audit", *flags, "--epsilon", "0.5", "--d-max",
+                         "300", "--t-max", "77", "--output", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
 class TestCalibrate:
     def test_expiration_output(self, capsys):
         rc = main(["calibrate", "--mse", "1000", "--t-max", "1000"])
@@ -577,12 +657,61 @@ class TestUsageErrors:
         (["figures", "2a", "--d-max", "4611686018427387903",
           "--output", "{out}"],
          "d - delay + 1 must be below 2^62, got 4611686018427387904"),
+        # noise scales and budgets that are 0 or past the floats
+        (["run", "--epsilon", "1", "--lambda", "2000", *GEN,
+          "--output", "{out}"],
+         "level_scale(62) must be a positive finite float, got 0.0 "
+         "(epsilon 1.0, level_exponent 2000.0)"),
+        (["audit", "--epsilon", "1", "--lambda", "2000", "--d-max", "10",
+          "--output", "{out}"],
+         "level_scale(62) must be a positive finite float, got 0.0 "
+         "(epsilon 1.0, level_exponent 2000.0)"),
+        (["run", "--epsilon", "1e-320", *GEN, "--output", "{out}"],
+         "level_scale(0) must be a positive finite float, got inf "
+         "(epsilon 1e-320, level_exponent 1.0)"),
+        (["audit", "--epsilon", "1e-300", "--lambda", "173", "--d-max", "10",
+          "--output", "{out}"],
+         "budget_weight(62) must be a positive finite float, got inf "
+         "(epsilon 1e-300, level_exponent 173.0)"),
+        (["run", "--mechanism", "baseline", "--window", "4", "--eps-cur",
+          "1e-320", "--eps-past", "0.1", *GEN, "--output", "{out}"],
+         "tree_depth/eps_cur must be a positive finite float, got inf "
+         "(window 4, eps_cur 1e-320)"),
+        (["audit", "--mechanism", "baseline", "--window", "4", "--eps-cur",
+          "1", "--eps-past", "1e-320", "--d-max", "10", "--output", "{out}"],
+         "1/eps_past must be a positive finite float, got inf "
+         "(eps_past 1e-320)"),
+        # a ratio whose square underflows
+        (["calibrate", "--mse", "1000", "--t-max", "100", "--window", "7",
+          "--ratio", "1e-200"],
+         "ratio is too small for a finite past-draw variance, got 1e-200"),
+        (["audit", "--mechanism", "baseline", "--window", "7", "--mse",
+          "1000", "--t-max", "100", "--ratio", "1e-320", "--d-max", "10",
+          "--output", "{out}"],
+         "ratio is too small for a finite past-draw variance, got 1e-320"),
+        # streams longer than an int64 index
+        (["run", "--epsilon", "1", "--generator", "zeros", "--t-max",
+          "99999999999999999999", "--output", "{out}"],
+         "--t-max must be below 2^62, got 99999999999999999999"),
+        (["run", "--epsilon", "1", "--input", "{file}", "--t-max",
+          "4611686018427387904", "--output", "{out}"],
+         "--t-max must be below 2^62, got 4611686018427387904"),
+        (["run", "--epsilon", "1", "--generator", "bernoulli(0.5)",
+          "--t-max", "2305843009213693952", "--output", "{out}"],
+         "--t-max 2305843009213693952 is too long for --generator: numpy "
+         "cannot allocate the stream"),
+        # the simple counter has no calibration
+        (["audit", "--mechanism", "simple", "--mse", "100", "--d-max", "3",
+          "--output", "{out}"], "--mse is not read by --mechanism simple"),
+        (["audit", "--mechanism", "simple", "--d-max", "3",
+          "--output", "{out}"], "--mechanism simple needs --epsilon"),
     ])
     def test_one_line_and_exit_two(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
         (tmp_path / "file").write_text("")
         paths = {"out": str(out), "missing": str(tmp_path / "no" / "o.csv"),
-                 "missing_dir": str(tmp_path / "file" / "figs")}
+                 "missing_dir": str(tmp_path / "file" / "figs"),
+                 "file": str(tmp_path / "file")}
         with pytest.raises(SystemExit) as exc:
             main([a.format(**paths) for a in argv])
         assert exc.value.code == 2
@@ -616,6 +745,10 @@ MODES = {
     ("run", "baseline"): (
         ["run", "--mechanism", "baseline", "--window", "4", "--eps-cur", "1",
          "--eps-past", "0.1", "--generator", "ones", "--t-max", "5"], set()),
+    ("audit", "simple"): (["audit", "--mechanism", "simple", "--epsilon", "1",
+                           "--d-max", "3", "--t-max", "64"], set()),
+    ("audit", "log"): (["audit", "--mechanism", "log", "--epsilon", "1",
+                        "--d-max", "3", "--t-max", "64"], set()),
     ("audit", "expiration"): (
         ["audit", "--mechanism", "expiration", "--epsilon", "1",
          "--d-max", "3", "--t-max", "64"], {"--lambda", "--delay"}),
