@@ -366,8 +366,10 @@ def cmd_run(args, parser) -> int:
         _usage_error(parser, args, "--t-max must be " + (
             ">= 1" if args.t_max < 1 else "below 2^62")
             + f", got {args.t_max}")
-    if args.seed < 0:
-        _usage_error(parser, args, f"--seed must be >= 0, got {args.seed}")
+    # the PRF keys on 64 bits: a larger seed would alias a smaller one
+    if not 0 <= args.seed < 1 << 64:
+        _usage_error(parser, args, "--seed must be " + (
+            ">= 0" if args.seed < 0 else "below 2^64") + f", got {args.seed}")
     family, params, _, _ = _checked(parser, args, mechanism_params, args)
     if args.input is not None:
         xs = _parse_stream_file(args.input, args.t_max)
@@ -397,9 +399,11 @@ def cmd_audit(args, parser) -> int:
     family, params, _, _ = _checked(parser, args, mechanism_params, args,
                                     horizon)
     d_values = np.arange(args.d_max + 1)
-    curve = _checked(parser, args, family.loss, params, d_values, horizon)
+    # simple's eps * d overflows to inf here, which PrivacyLossCurve rejects
+    with np.errstate(over="ignore"):
+        curve = _checked(parser, args, family.loss, params, d_values, horizon)
     theoretical = (None if family.bound is None
-                   else family.bound(params, d_values))
+                   else _checked(parser, args, family.bound, params, d_values))
     with _open_output(parser, args) as fh:
         _write_csv(fh, "d,loss_empirical,loss_envelope,loss_theoretical",
                    [d_values, curve.loss, curve.envelope, theoretical])

@@ -103,6 +103,12 @@ class MechanismParams:
                              f"epsilon {self.epsilon!r}, level_exponent "
                              f"{self.level_exponent!r}",
                              getattr(self, name), level)
+        # the closed-form bound's largest power, at n = 2^62; the largest
+        # level sum, budget_sums(63)[-1], is below it (63 terms of at most
+        # 63 ** (level_exponent - 1))
+        _check_scale("63.0 ** level_exponent",
+                     f"level_exponent {self.level_exponent!r}",
+                     pow, 63.0, self.level_exponent)
 
     def level_scale(self, level: int) -> float:
         """Noise scale of a level-`level` interval draw."""
@@ -163,6 +169,9 @@ class SeededNoise:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        # prf_uniform keeps the seed mod 2^64: a larger one would alias
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
     def draw(self, parts, scale):
         return keyed_noise(self.seed, parts, scale)

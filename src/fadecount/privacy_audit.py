@@ -41,6 +41,15 @@ from .noise import plain_sum
 # loss curves and bounds
 
 
+def _check_finite_losses(d: np.ndarray, loss: np.ndarray) -> None:
+    """Reject a loss past the float range, by its d (ValueError)."""
+    finite = np.isfinite(loss)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"losses must be finite, got {float(loss[i])!r} "
+                         f"at d={int(d[i])}")
+
+
 @dataclass
 class PrivacyLossCurve:
     """Per-d worst-case losses plus their monotone envelope.
@@ -63,10 +72,11 @@ class PrivacyLossCurve:
             raise ValueError("d and loss must be 1-d arrays of equal length")
         if len(self.d) == 0:
             raise ValueError("curve must be nonempty")
-        if np.any(np.diff(self.d) <= 0):
+        if not np.all(self.d[1:] > self.d[:-1]):
             raise ValueError("d must be strictly increasing")
         if not np.all(self.loss >= 0):
             raise ValueError("losses must be nonnegative")
+        _check_finite_losses(self.d, self.loss)
 
     @property
     def envelope(self) -> np.ndarray:
@@ -96,66 +106,50 @@ def closed_form_loss_bound(d: int, params: MechanismParams) -> float:
     """Closed-form loss bound with continuous log2.
 
     eps * 2 * (1 + ((log2(n)+1)^lam - 1)/lam) for lam != 0 and n = d-delay+1;
-    the lam -> 0 limit eps * 2 * (1 + ln(log2(n)+1)) for lam = 0, which
-    needs n >= 2.  Returns 0 in the delay regime.  Because the log here is
-    continuous, this can dip below exact_loss_bound at isolated d; use
-    published_loss_bound for a dominating curve.
+    the lam -> 0 limit eps * 2 * (1 + ln(log2(n)+1)) for lam = 0, which at
+    n = 1 is 2 eps, the exact sum.  Returns 0 in the delay regime.  Because
+    the log here is continuous, this can dip below exact_loss_bound at
+    isolated d; use published_loss_bound for a dominating curve.
     """
     if d < params.delay:
         return 0.0
-    n = d - params.delay + 1
     lam = params.level_exponent
-    x = math.log2(n) + 1.0
+    x = math.log2(d - params.delay + 1) + 1.0
     if lam == 0:
-        if n < 2:
-            raise ValueError(
-                "closed-form bound with level_exponent 0 needs d - delay + 1 >= 2")
         return params.epsilon * 2.0 * (1.0 + math.log(x))
     return params.epsilon * 2.0 * (1.0 + (x ** lam - 1.0) / lam)
 
 
 def published_loss_bound(d: int, params: MechanismParams) -> float:
     """max(closed form, exact level sum) — the dominating theoretical curve."""
-    exact = exact_loss_bound(d, params)
-    if params.level_exponent == 0 and d - params.delay + 1 < 2:
-        return exact
-    return max(closed_form_loss_bound(d, params), exact)
+    return max(closed_form_loss_bound(d, params), exact_loss_bound(d, params))
 
 
 def published_loss_bounds(params: MechanismParams, d_values) -> np.ndarray:
     """published_loss_bound at every d of a grid, bit for bit.
 
-    The exact level sum depends only on L = floor_log2(d - delay + 1), so
-    it is read off one list of running level sums up to the grid's largest
-    L.  The closed form takes its logs and powers from math.log2, math.log
-    and pow, mapped over a block at a time: numpy's do not always round like
-    them.  The rest is IEEE arithmetic in closed_form_loss_bound's order,
-    which numpy rounds the same.
+    The exact level sum depends only on L = floor_log2(d - delay + 1), so a
+    block reads it off the running level sums up to the block's largest L,
+    a prefix of one left-to-right list.  The closed form takes its logs and
+    powers from math.log2, math.log and pow, mapped over the block: numpy's
+    do not always round like them.  The rest is IEEE arithmetic in
+    closed_form_loss_bound's order, which numpy rounds the same.
     """
-    d = np.asarray(d_values, dtype=np.int64)
-    live = d >= params.delay
-    bounds = np.zeros(d.shape)
-    if not live.any():
-        return bounds
-    d = d[live]
-    levels = np.searchsorted(_POWERS_OF_TWO, d - params.delay + 1,
-                             side="right") - 1
-    table = params.epsilon * 2.0 * np.array(
-        params.budget_sums(int(levels.max()) + 1))
-    live_bounds = table[levels]
     lam, scale = params.level_exponent, params.epsilon * 2.0
-    for lo in range(0, d.size, _BLOCK):
-        n = (d[lo:lo + _BLOCK] - params.delay + 1).tolist()
-        x = np.fromiter(map(math.log2, n), float, len(n)) + 1.0
-        if lam == 0:  # at n = 1 this gives 2 eps, the exact sum itself
+
+    def bounds(e):
+        n = e + 1
+        levels = np.searchsorted(_POWERS_OF_TWO, n, side="right") - 1
+        exact = scale * np.array(params.budget_sums(int(levels.max()) + 1))
+        x = np.fromiter(map(math.log2, n.tolist()), float, n.size) + 1.0
+        if lam == 0:
             closed = 1.0 + np.fromiter(map(math.log, x.tolist()), float)
         else:
             powers = map(pow, x.tolist(), itertools.repeat(lam))
             closed = 1.0 + (np.fromiter(powers, float) - 1.0) / lam
-        np.maximum(live_bounds[lo:lo + _BLOCK], scale * closed,
-                   out=live_bounds[lo:lo + _BLOCK])
-    bounds[live] = live_bounds
-    return bounds
+        return np.maximum(exact[levels], scale * closed)
+
+    return _over_grid(d_values, bounds, params.delay)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +164,27 @@ _BLOCK = 1 << 14
 # is m >> level itself while it is 0 or 1, then 2 if even and 3 if odd
 _LEVEL_COUNTS = np.array([[[0, 0, 1, 2], [0, 1, 2, 1]],
                           [[0, 0, 1, 0], [0, 1, 0, 1]]])
+
+
+def _over_grid(d_values, values_at, delay: int = 0) -> np.ndarray:
+    """values_at(d - delay) at every d >= delay of a grid, 0 below it.
+
+    A negative d is a ValueError, and so is a value past the float range.
+    values_at gets one block's int64 d - delay at a time, so no temporary
+    spans the whole grid.
+    """
+    d = np.asarray(d_values, dtype=np.int64)
+    if d.size and int(d.min()) < 0:
+        raise ValueError(f"d must be nonnegative, got {int(d.min())}")
+    out = np.zeros(d.shape)
+    with np.errstate(over="ignore"):
+        for lo in range(0, d.size, _BLOCK):
+            block = d[lo:lo + _BLOCK]
+            live = block >= delay
+            if live.any():
+                out[lo:lo + _BLOCK][live] = values_at(block[live] - delay)
+    _check_finite_losses(d, out)
+    return out
 
 
 def _worst_decomposition_costs(n: np.ndarray, t_max: int,
@@ -232,31 +247,6 @@ def _worst_decomposition_costs(n: np.ndarray, t_max: int,
     return np.maximum(best[0, 1], best[1, 1])
 
 
-def _expiration_losses(params: MechanismParams, d_values,
-                       t_max: int) -> np.ndarray:
-    """Exact worst-case loss of the expiration counter at every d of a grid.
-
-    eps times the largest decomposition cost of a length-(d-delay+1) range
-    entered at a position j <= t_max; 0 in the delay regime d < delay.
-    """
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
-    d = np.asarray(d_values, dtype=np.int64)
-    # the DP's level tables stop at 2^62
-    if d.size and int(d.max()) - params.delay + 1 >= 1 << 62:
-        raise ValueError("d - delay + 1 must be below 2^62, got "
-                         f"{int(d.max()) - params.delay + 1}")
-    loss = np.zeros(d.shape)
-    for lo in range(0, d.size, _BLOCK):
-        block = d[lo:lo + _BLOCK]
-        live = block >= params.delay
-        if live.any():
-            loss[lo:lo + _BLOCK][live] = params.epsilon * \
-                _worst_decomposition_costs(block[live] - params.delay + 1,
-                                           t_max, params)
-    return loss
-
-
 def empirical_loss_expiration(d: int, params: MechanismParams,
                               t_max: int) -> float:
     """Exact worst-case loss of the expiration counter at elapsed time d.
@@ -265,15 +255,22 @@ def empirical_loss_expiration(d: int, params: MechanismParams,
     eps * sum_{I in D_[j, j+d-delay]} (1+level(I))^(exponent-1);
     0 in the delay regime.  Costs O(log d); see _worst_decomposition_costs.
     """
-    return float(_expiration_losses(params, [d], t_max)[0])
+    return float(empirical_loss_curve(params, [d], t_max).loss[0])
 
 
 def empirical_loss_curve(params: MechanismParams, d_values,
                          t_max: int) -> PrivacyLossCurve:
-    """empirical_loss_expiration at every d of a grid, in one pass."""
-    d_values = np.asarray(d_values, dtype=np.int64)
-    return PrivacyLossCurve(d_values,
-                            _expiration_losses(params, d_values, t_max))
+    """empirical_loss_expiration at every d of a grid, a block at a time."""
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    d = np.asarray(d_values, dtype=np.int64)
+    # the DP's level tables stop at 2^62
+    if d.size and int(d.max()) - params.delay + 1 >= 1 << 62:
+        raise ValueError("d - delay + 1 must be below 2^62, got "
+                         f"{int(d.max()) - params.delay + 1}")
+    return PrivacyLossCurve(d, _over_grid(
+        d, lambda e: params.epsilon * _worst_decomposition_costs(
+            e + 1, t_max, params), params.delay))
 
 
 def _baseline_tree_maxima(params: BaselineParams, d_values, horizon: int):
@@ -308,8 +305,6 @@ def _baseline_tree_maxima(params: BaselineParams, d_values, horizon: int):
     position has past p+1.
     """
     d = np.asarray(d_values, dtype=np.int64)
-    if np.any(d < 0):
-        raise ValueError(f"d must be nonnegative, got {int(d.min())}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     w = params.window
@@ -348,6 +343,8 @@ def empirical_loss_baseline(d: int, params: BaselineParams, horizon: int):
     candidate worst cases are evaluated: pass Fractions to get exact values
     (period-W increments of the linear regime are then exact).
     """
+    if d < 0:
+        raise ValueError(f"d must be nonnegative, got {d}")
     past, tree_p, tree_next = (
         int(v[0]) for v in _baseline_tree_maxima(params, [d], horizon))
     best = _baseline_loss(params, tree_p, past)
@@ -358,12 +355,15 @@ def empirical_loss_baseline(d: int, params: BaselineParams, horizon: int):
 
 def baseline_loss_curve(params: BaselineParams, d_values,
                         horizon: int) -> PrivacyLossCurve:
-    """empirical_loss_baseline at every d of a grid, in one pass."""
-    d_values = np.asarray(d_values, dtype=np.int64)
-    past, tree_p, tree_next = _baseline_tree_maxima(params, d_values, horizon)
-    loss = _baseline_loss(params, tree_p, past)
-    later = np.maximum(loss, _baseline_loss(params, tree_next, past + 1))
-    return PrivacyLossCurve(d_values, np.where(tree_next >= 0, later, loss))
+    """empirical_loss_baseline at every d of a grid, a block at a time."""
+
+    def losses(d):
+        past, tree_p, tree_next = _baseline_tree_maxima(params, d, horizon)
+        loss = _baseline_loss(params, tree_p, past)
+        later = np.maximum(loss, _baseline_loss(params, tree_next, past + 1))
+        return np.where(tree_next >= 0, later, loss)
+
+    return PrivacyLossCurve(d_values, _over_grid(d_values, losses))
 
 
 # ---------------------------------------------------------------------------

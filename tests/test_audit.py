@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -59,6 +61,8 @@ class TestPrivacyLossCurve:
             PrivacyLossCurve([], [])
         with pytest.raises(ValueError, match="nonnegative"):
             PrivacyLossCurve([0, 1], [1.0, float("nan")])
+        with pytest.raises(ValueError, match="finite, got inf at d=2$"):
+            PrivacyLossCurve([0, 2, 3], [1.0, math.inf, math.inf])
 
 
 class TestExactLossBound:
@@ -100,8 +104,11 @@ class TestClosedFormBound:
         # 2 * (1 + ln(log2(n) + 1))
         assert closed_form_loss_bound(3, p0) == pytest.approx(
             2 * (1 + math.log(3.0)))
-        with pytest.raises(ValueError):
-            closed_form_loss_bound(0, p0)  # n=1 undefined in the limit form
+        # at n = 1 the limit form is 2 eps, the exact level sum
+        for delay in (0, 3):
+            p0 = MechanismParams(0.7, 0.0, delay)
+            assert closed_form_loss_bound(delay, p0) == \
+                exact_loss_bound(delay, p0) == 2 * 0.7
 
     def test_lambda_zero_is_continuous_limit(self):
         p0 = MechanismParams(1.0, 0.0, 0)
@@ -116,8 +123,7 @@ class TestClosedFormBound:
             for d in range(0, 300):
                 pub = published_loss_bound(d, p)
                 assert pub >= exact_loss_bound(d, p) - 1e-12
-                if not (lam == 0.0 and d == 0):
-                    assert pub >= closed_form_loss_bound(d, p) - 1e-12
+                assert pub >= closed_form_loss_bound(d, p) - 1e-12
 
     def test_closed_form_can_dip_below_exact(self):
         # the reason published_loss_bound takes a max: with the continuous
@@ -162,6 +168,113 @@ class TestPublishedLossBounds:
     def test_all_in_delay_regime(self):
         p = MechanismParams(1.0, 0.0, 5)
         assert published_loss_bounds(p, [0, 4, 2]).tolist() == [0.0] * 3
+
+
+def grid_curves(p, bp, ds, t_max):
+    """The three grid functions at ds: expiration losses, published
+    bounds and baseline losses."""
+    return (empirical_loss_curve(p, ds, t_max).loss,
+            published_loss_bounds(p, ds), baseline_loss_curve(bp, ds, t_max).loss)
+
+
+def scalar_curves(p, bp, ds, t_max):
+    """The per-d oracles of grid_curves."""
+    return ([search_loss_expiration(int(d), p, t_max) for d in ds],
+            [published_loss_bound(int(d), p) for d in ds],
+            [empirical_loss_baseline(int(d), bp, t_max) for d in ds])
+
+
+class TestGridDriver:
+    """The one blocked walk behind every loss curve and bound."""
+
+    @given(st.lists(st.integers(0, 3000), min_size=1, max_size=30,
+                    unique=True),
+           st.sampled_from(LAMBDAS), st.integers(0, 20), st.integers(1, 300),
+           st.integers(1, 7), st.integers(1, 70))
+    @settings(max_examples=100, deadline=None)
+    def test_every_curve_across_blocks(self, ds, lam, delay, window, block,
+                                       t_max):
+        p = MechanismParams(0.9, lam, delay)
+        bp = BaselineParams(window, 0.6, 0.05)
+        ds = sorted(ds)
+        with mock.patch.object(privacy_audit, "_BLOCK", block):
+            got = grid_curves(p, bp, ds, t_max)
+        for g, want in zip(got, scalar_curves(p, bp, ds, t_max)):
+            assert np.array_equal(bits(g), bits(want))
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_delay_boundary_inside_a_block(self, lam):
+        # blocks of 8 over 0..39; the delay regime ends at 13, mid-block
+        p = MechanismParams(0.4, lam, 13)
+        bp = BaselineParams(13, 0.4, 0.04)
+        ds = np.arange(40)
+        with mock.patch.object(privacy_audit, "_BLOCK", 8):
+            got = grid_curves(p, bp, ds, 50)
+        want = scalar_curves(p, bp, ds, 50)
+        for g, w in zip(got, want):
+            assert np.array_equal(bits(g), bits(w))
+        assert not got[0][:13].any() and not got[1][:13].any()
+        assert got[0][13:].all() and got[1][13:].all()
+
+    def test_sparse_increasing_grid(self):
+        # a few points spread over 18 orders of magnitude, two per block
+        ds = [0, 1, 2, 7, 16, 300, 4095, 10**6, 10**9 + 7, 10**12, 10**18]
+        p = MechanismParams(0.5, 2.0, 5)
+        bp = BaselineParams(1023, 0.7, 0.07)
+        with mock.patch.object(privacy_audit, "_BLOCK", 2):
+            losses, bounds, base = grid_curves(p, bp, ds, 10**6)
+        assert np.array_equal(
+            bits(bounds), bits([published_loss_bound(d, p) for d in ds]))
+        assert np.array_equal(
+            bits(base),
+            bits([empirical_loss_baseline(d, bp, 10**6) for d in ds]))
+        live = np.array(ds[2:]) - 5 + 1
+        assert np.array_equal(
+            losses, [0.0, 0.0] + list(0.5 * scatter_decomposition_costs(
+                live, 10**6, 2.0)))
+
+    def test_peak_memory_is_a_block_beyond_the_output(self):
+        # over 2^20 points each function holds its 8 MiB output plus
+        # block-sized temporaries, not whole-grid ones
+        ds = np.arange(1 << 20)
+        p = MechanismParams(0.5, 2.0, 16)
+        bp = BaselineParams(1023, 0.7, 0.07)
+        for call in (lambda: empirical_loss_curve(p, ds, 1 << 20),
+                     lambda: published_loss_bounds(p, ds),
+                     lambda: baseline_loss_curve(bp, ds, 1 << 20)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20 << 20
+
+    @pytest.mark.parametrize("call", [
+        lambda ds: empirical_loss_curve(MechanismParams(1.0, 1.0, 4), ds, 10),
+        lambda ds: published_loss_bounds(MechanismParams(1.0, 1.0, 4), ds),
+        lambda ds: baseline_loss_curve(BaselineParams(8, 1.0, 0.1), ds, 10),
+        lambda ds: empirical_loss_expiration(ds[0], MechanismParams(1.0), 10),
+        lambda ds: empirical_loss_baseline(ds[0], BaselineParams(8, 1.0, 0.1),
+                                           10)])
+    def test_negative_d_is_an_error(self, call):
+        with pytest.raises(ValueError, match="d must be nonnegative, got -3"):
+            call([-3, 0, 1])
+
+    @pytest.mark.parametrize("call,d", [
+        (lambda ds: empirical_loss_curve(MechanismParams(1e308, 3.0), ds, 9),
+         1),
+        (lambda ds: published_loss_bounds(MechanismParams(1e308, 3.0), ds),
+         0),
+        (lambda ds: baseline_loss_curve(BaselineParams(7, 1e308, 1e308), ds,
+                                        9), 0)])
+    def test_overflow_is_an_error_without_a_warning(self, call, d):
+        ds = np.arange(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=f"losses must be finite, got inf at d={d}$"):
+                call(ds)
 
 
 class TestScatterFreeDP:

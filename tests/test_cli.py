@@ -647,6 +647,9 @@ class TestUsageErrors:
          "--seed must be >= 0, got -1"),
         (["run", "--epsilon", "1", *GEN, "--seed", "-1", "--output", "{out}"],
          "--seed must be >= 0, got -1"),
+        (["run", "--epsilon", "1", *GEN, "--seed", "18446744073709551616",
+          "--output", "{out}"],
+         "--seed must be below 2^64, got 18446744073709551616"),
         (["run", "--mechanism", "baseline", "--window", "4611686018427387905",
           "--eps-cur", "1", "--eps-past", "1", *GEN, "--output", "{out}"],
          "--window must be at most 2^62, got 4611686018427387905"),
@@ -673,6 +676,10 @@ class TestUsageErrors:
           "--output", "{out}"],
          "budget_weight(62) must be a positive finite float, got inf "
          "(epsilon 1e-300, level_exponent 173.0)"),
+        (["run", "--epsilon", "1", "--lambda", "172", *GEN,
+          "--output", "{out}"],
+         "63.0 ** level_exponent must be a positive finite float, got inf "
+         "(level_exponent 172.0)"),
         (["run", "--mechanism", "baseline", "--window", "4", "--eps-cur",
           "1e-320", "--eps-past", "0.1", *GEN, "--output", "{out}"],
          "tree_depth/eps_cur must be a positive finite float, got inf "
@@ -681,6 +688,17 @@ class TestUsageErrors:
           "1", "--eps-past", "1e-320", "--d-max", "10", "--output", "{out}"],
          "1/eps_past must be a positive finite float, got inf "
          "(eps_past 1e-320)"),
+        # losses past the float range
+        (["audit", "--epsilon", "1e308", "--lambda", "3", "--d-max", "3",
+          "--output", "{out}"], "losses must be finite, got inf at d=1"),
+        (["audit", "--mechanism", "simple", "--epsilon", "1e308", "--d-max",
+          "3", "--output", "{out}"], "losses must be finite, got inf at d=2"),
+        (["audit", "--mechanism", "baseline", "--window", "7", "--eps-cur",
+          "1e308", "--eps-past", "1e308", "--d-max", "20", "--output",
+          "{out}"], "losses must be finite, got inf at d=0"),
+        # a bound past the float range over finite losses
+        (["audit", "--epsilon", "1e308", "--lambda", "3", "--d-max", "0",
+          "--output", "{out}"], "losses must be finite, got inf at d=0"),
         # a ratio whose square underflows
         (["calibrate", "--mse", "1000", "--t-max", "100", "--window", "7",
           "--ratio", "1e-200"],

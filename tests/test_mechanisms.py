@@ -21,6 +21,7 @@ from fadecount.mechanisms import (DOMAIN_INTERVAL, DOMAIN_PAST, DOMAIN_STEP,
                                   expiration_noise_totals, run_expiration,
                                   run_simple)
 from fadecount.noise import keyed_noise
+from fadecount.privacy_audit import published_loss_bound
 from noise_oracles import WalkBaselineCounter, gather_noise_totals
 
 streams = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1,
@@ -44,6 +45,16 @@ class TestParams:
             with pytest.raises(ValueError,
                                match="^level_exponent must be finite"):
                 MechanismParams(1.0, bad)
+
+    def test_largest_level_exponent(self):
+        # the published bound's power and level sum at n = 2^62 stay finite
+        p = MechanismParams(1.0, 171.0)
+        top = published_loss_bound((1 << 62) - 1, p)
+        assert top == 2.0 * p.budget_sums(63)[-1] < 1.66e306
+        with pytest.raises(ValueError, match=r"^63\.0 \*\* level_exponent must "
+                           r"be a positive finite float, got inf "
+                           r"\(level_exponent 172\.0\)$"):
+            MechanismParams(1.0, 172.0)
 
     def test_level_scale(self):
         p = MechanismParams(0.5, level_exponent=3.0)
@@ -93,6 +104,15 @@ class TestNoiseSources:
     def test_seeded_matches_keyed_noise(self):
         src = SeededNoise(9)
         assert src.draw((1, 2, 3), 1.5) == keyed_noise(9, (1, 2, 3), 1.5)
+
+    def test_seed_is_64_bits(self):
+        # the PRF keeps a seed mod 2^64, so a seed outside would alias
+        assert SeededNoise(2**64 - 1).draw((1,), 1.0) == \
+            keyed_noise(2**64 - 1, (1,), 1.0)
+        for seed in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(ValueError,
+                               match=rf"^seed must be in \[0, 2\^64\), got {seed}$"):
+                SeededNoise(seed)
 
     def test_recording_caches_and_replays(self):
         rec = RecordingNoise(SeededNoise(4))
