@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mechanisms import BaselineParams, MechanismParams, _check_finite
+from .mechanisms import (BaselineParams, ExpirationCounter, MechanismParams,
+                         _check_finite)
 from .noise import concentration_threshold
 
 _REL_TOL = 1e-9
@@ -193,6 +194,6 @@ def error_bound_expiration(t: int, beta: float,
     """
     if t <= params.delay:
         raise ValueError(f"t must exceed the delay {params.delay}, got {t}")
-    scales = [params.level_scale(lvl)
-              for lvl in range((t - params.delay).bit_length())]
-    return params.delay + concentration_threshold(scales, beta)
+    live = ExpirationCounter.schedule(params)[:(t - params.delay).bit_length()]
+    return params.delay + concentration_threshold(
+        [scale for _key, scale in live], beta)

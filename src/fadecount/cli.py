@@ -28,9 +28,9 @@ import sys
 import numpy as np
 
 from .calibration import calibrate_baseline, calibrate_epsilon, optimal_ratio
-from .mechanisms import (BaselineCounter, BaselineParams, MechanismParams,
-                         SeededNoise, expiration_noise_range, lagged_releases,
-                         running_sums, simple_noise_range)
+from .mechanisms import (BaselineCounter, BaselineParams, ExpirationCounter,
+                         MechanismParams, SeededNoise, SimpleCounter,
+                         lagged_releases, running_sums)
 from .privacy_audit import (PrivacyLossCurve, baseline_loss_curve,
                             empirical_loss_curve, published_loss_bounds)
 # bench/spans.py traces published_loss_bound under this module's name
@@ -294,16 +294,14 @@ _Family = collections.namedtuple("_Family",
                                  "reads tuning params releases loss bound")
 _EXPIRATION = _Family(
     {"epsilon", "level_exponent", "delay"}, set(), _expiration_params,
-    lambda p, xs, seed, block: lagged_releases(
-        p, xs, seed, p.delay, expiration_noise_range, block),
+    functools.partial(lagged_releases, ExpirationCounter),
     lambda *a: empirical_loss_curve(*a), published_loss_bounds)
 MECHANISMS = {
     # composition (Chan, Shi and Song): an input is in d fresh-draw releases;
     # it reads --epsilon alone, as MechanismParams at the other defaults
     "simple": _Family(
         {"epsilon"}, None, _expiration_params,
-        lambda p, xs, seed, block: lagged_releases(
-            p, xs, seed, 1, simple_noise_range, block),
+        functools.partial(lagged_releases, SimpleCounter),
         lambda p, d_values, _: PrivacyLossCurve(d_values,
                                                 p.epsilon * d_values),
         None),

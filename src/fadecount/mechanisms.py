@@ -10,6 +10,12 @@ All three release a (possibly delayed) noisy prefix sum at every step:
 * ``BaselineCounter``    — windowed rounds: a fresh binary tree per round
   plus a once-per-round noisy prefix of everything before the round.
 
+The first two are one lagged counter (_LaggedCounter) with two static
+facts per class: lag(params), the steps a release trails the stream, and
+schedule(params), the (key prefix, scale) of each noise level in summation
+order.  Its step, the range noise kernel, lagged_releases and
+calibration.error_bound_expiration all read them.
+
 Each counter states its coupling rule, ``coupling_keys(params, j, tau)``:
 for an input change at j seen up to time tau, the noise keys to shift, each
 with its budget per unit of shift (see privacy_audit.coupling_shift).
@@ -37,9 +43,10 @@ from itertools import accumulate
 import numpy as np
 
 from .dyadic import decompose, floor_log2
-from .noise import (_MASK64, _laplace_inplace, _prf_key_offset,
-                    _prf_uniform_inplace, keyed_noise, laplace_sample_array,
-                    prf_uniform_array)
+from .noise import (_MASK64, _check_seed, _laplace_inplace, _prf_key_offset,
+                    _prf_uniform_inplace, keyed_noise)
+# bench/spans.py traces these two under this module's name
+from .noise import laplace_sample_array, prf_uniform_array  # noqa: F401
 
 # key domains, so draws of different kinds can never collide
 DOMAIN_INTERVAL = 1   # (DOMAIN_INTERVAL, level, index)         interval noise
@@ -168,10 +175,7 @@ class SeededNoise:
     """Draws keyed Laplace noise deterministically from a 64-bit seed."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        # prf_uniform keeps the seed mod 2^64: a larger one would alias
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
+        self.seed = _check_seed(int(seed))
 
     def draw(self, parts, scale):
         return keyed_noise(self.seed, parts, scale)
@@ -228,59 +232,33 @@ def _check_input(x):
     return float(x) if isinstance(x, np.floating) else x
 
 
-class SimpleCounter:
-    """Fresh noise each step; output t is the prefix through t-1 plus Lap(1/eps).
+class _LaggedCounter:
+    """A counter that releases 0 up to step lag(params), then at step t the
+    prefix sum through release position p = t - lag plus one live draw per
+    level of its schedule(params) that p has reached.
 
-    The first output is exactly 0 and every release lags the stream by one
-    step; kept verbatim (not harmonized with the other counters' timing).
+    schedule(params) lists (key prefix, scale) for levels 0, 1, ... in
+    summation order; level l's draw at p is keyed prefix + (p >> l,).
+    State: the last `lag` inputs, the prefix through p and one live draw
+    per level.  Stepping redraws exactly the levels whose draw p starts
+    (levels 0..nu2(p), nu2 = number of trailing zero bits, up to the
+    schedule's last), so P released positions take sum_l floor(P / 2^l)
+    draws: 2P - popcount(P) at most.
     """
 
-    def __init__(self, params: MechanismParams, noise):
+    def __init__(self, params, noise):
         self.params = params
         self.noise = noise
-        self._t = 0
-        self._prefix = 0
-
-    def step(self, x):
-        x = _check_input(x)
-        self._t += 1
-        if self._t == 1:
-            out = 0
-        else:
-            z = self.noise.draw((DOMAIN_STEP, self._t - 1), 1.0 / self.params.epsilon)
-            out = self._prefix + z
-        self._prefix = self._prefix + x
-        return out
-
-    @staticmethod
-    def coupling_keys(params: MechanismParams, j: int, tau: int) -> list:
-        """The coupling rule (module docstring): release t sums the prefix
-        through t-1 and step t-1's draw."""
-        return [((DOMAIN_STEP, s), params.epsilon) for s in range(j, tau)]
-
-
-class ExpirationCounter:
-    """Delayed level-budgeted counter; the main mechanism.
-
-    State: the last `delay` inputs, the prefix sum through the current
-    release position p = t - delay, and one live noise value per level
-    0..floor(log2 p).  Stepping refreshes exactly the levels whose interval
-    boundary p crosses (levels 0..nu2(p), nu2 = number of trailing zero
-    bits), so total redraws over P released positions are
-    sum_p (nu2(p)+1) = 2P - popcount(P) <= 2P.
-    """
-
-    def __init__(self, params: MechanismParams, noise):
-        self.params = params
-        self.noise = noise
-        self._position = 0          # release position p = t - delay
-        self._delayed_sum = 0       # sum of x_1..x_p
-        self._buffer = deque()      # the delay most recent inputs
+        self._lag = self.lag(params)
+        self._levels = self.schedule(params)
+        self._position = 0          # release position p = t - lag
+        self._prefix = 0            # sum of x_1..x_p
+        self._buffer = deque()      # the lag most recent inputs
         self._active = {}           # level -> live noise value
 
     @property
     def redraws(self) -> int:
-        return 2 * self._position - bin(self._position).count("1")
+        return sum(self._position >> lvl for lvl in range(len(self._levels)))
 
     @property
     def active_noise_count(self) -> int:
@@ -292,25 +270,65 @@ class ExpirationCounter:
 
     def step(self, x):
         x = _check_input(x)
-        delay = self.params.delay
-        if delay:
+        if self._lag:
             self._buffer.append(x)
-            if len(self._buffer) <= delay:
+            if len(self._buffer) <= self._lag:
                 return 0
             x = self._buffer.popleft()
         p = self._position = self._position + 1
-        self._delayed_sum = self._delayed_sum + x
-        # levels whose containing interval changed at p: 0..nu2(p)
-        refresh = (p & -p).bit_length()  # nu2(p) + 1
-        for lvl in range(refresh):
-            self._active[lvl] = self.noise.draw(
-                (DOMAIN_INTERVAL, lvl, p >> lvl), self.params.level_scale(lvl))
+        self._prefix = self._prefix + x
+        # the levels whose draw starts at p: 0..nu2(p)
+        for lvl, (key, scale) in enumerate(
+                self._levels[:(p & -p).bit_length()]):
+            self._active[lvl] = self.noise.draw(key + (p >> lvl,), scale)
         # live noise summed in level order (plain_sum's fold, inline on this
-        # hot path), then added to the prefix, as run_expiration does
+        # hot path), then added to the prefix, as lagged_releases does
         noise = 0
         for z in self._active.values():
             noise = noise + z
-        return self._delayed_sum + noise
+        return self._prefix + noise
+
+
+class SimpleCounter(_LaggedCounter):
+    """Fresh noise each step; output t is the prefix through t-1 plus Lap(1/eps).
+
+    The first output is exactly 0 and every release lags the stream by one
+    step; kept verbatim (not harmonized with the other counters' timing).
+    """
+
+    @staticmethod
+    def lag(params: MechanismParams) -> int:
+        return 1
+
+    @staticmethod
+    def schedule(params: MechanismParams) -> list:
+        """One level, redrawn at every position: the draw (DOMAIN_STEP, p)."""
+        return [((DOMAIN_STEP,), 1.0 / params.epsilon)]
+
+    @staticmethod
+    def coupling_keys(params: MechanismParams, j: int, tau: int) -> list:
+        """The coupling rule (module docstring): release t sums the prefix
+        through t-1 and step t-1's draw."""
+        return [((DOMAIN_STEP, s), params.epsilon) for s in range(j, tau)]
+
+
+class ExpirationCounter(_LaggedCounter):
+    """Delayed level-budgeted counter; the main mechanism.
+
+    Releases lag the stream by `delay` steps, and position p sums one draw
+    per dyadic interval containing it: (DOMAIN_INTERVAL, l, p >> l) at
+    params.level_scale(l), for levels 0..floor(log2 p).
+    """
+
+    @staticmethod
+    def lag(params: MechanismParams) -> int:
+        return params.delay
+
+    @staticmethod
+    def schedule(params: MechanismParams) -> list:
+        """Levels 0..62: positions stay below 2^63."""
+        return [((DOMAIN_INTERVAL, lvl), params.level_scale(lvl))
+                for lvl in range(63)]
 
     @staticmethod
     def coupling_keys(params: MechanismParams, j: int, tau: int) -> list:
@@ -389,11 +407,12 @@ class BaselineCounter:
 # ---------------------------------------------------------------------------
 # vectorized runners (single stream / Monte Carlo batches)
 #
-# These produce exactly the same numbers as the scalar counters above — the
-# noise keys, the PRF lane and the summation order are shared — but evaluate
-# streams with numpy.  The noise kernels take any range of positions, so
-# lagged_releases draws one block of rows at a time for `fadecount run`,
-# and the whole stream at once for run_expiration and run_simple.
+# These produce exactly the same numbers as _LaggedCounter.step — the
+# schedule, the noise keys, the PRF lane and the summation order are shared
+# — but evaluate streams with numpy.  The noise kernel takes a schedule and
+# any range of positions, so lagged_releases draws one block of rows at a
+# time for `fadecount run`, and the whole stream at once for run_expiration
+# and run_simple.
 
 
 # draws per pass of the noise-total kernel: its scratch is three arrays of
@@ -401,9 +420,9 @@ class BaselineCounter:
 _CHUNK = 1 << 15
 
 
-def _draw_chunks(first: int, last: int):
-    """The kernel's draw stream over release positions first..last,
-    level-major, cut into chunks of _CHUNK draws.
+def _draw_chunks(first: int, last: int, levels: int):
+    """The kernel's draw stream over release positions first..last and
+    levels 0..levels-1, level-major, cut into chunks of _CHUNK draws.
 
     Level l contributes the draws first >> l .. last >> l that exist (draw 0
     does not: level l starts at position 2^l).  Yields, per chunk, its
@@ -411,7 +430,7 @@ def _draw_chunks(first: int, last: int):
     order; a level may span several chunks and a chunk may hold many levels.
     """
     segments, used = [], 0
-    for lvl in range(floor_log2(last) + 1):
+    for lvl in range(levels):
         k, end = max(1, first >> lvl), last >> lvl
         while k <= end:
             count = min(end - k + 1, _CHUNK - used)
@@ -425,10 +444,11 @@ def _draw_chunks(first: int, last: int):
         yield segments
 
 
-def _add_noise_totals(total: np.ndarray, params: MechanismParams, first: int,
+def _add_noise_totals(total: np.ndarray, schedule, first: int,
                       seed: int) -> None:
-    """Add the total interval noise at release positions first.. (first >= 1),
-    one per element of `total`, into `total` (zeros on entry).
+    """Add the total live noise of a schedule (_LaggedCounter) at release
+    positions first.. (first >= 1), one per element of `total`, into
+    `total` (zeros on entry).
 
     Every level's draws form one stream, processed a chunk at a time in
     reused scratch: the keys of all the chunk's segments, one in-place PRF
@@ -437,27 +457,26 @@ def _add_noise_totals(total: np.ndarray, params: MechanismParams, first: int,
     segment wholly inside the range are added over a (draws, 2^l) view of
     the totals, plus a scalar add for each clipped one (the range's first
     and last at that level).  Chunks follow the stream, so levels are added
-    in ascending order, the order ExpirationCounter.step sums them in.
+    in ascending order, the order _LaggedCounter.step sums them in.
     """
     size, last = len(total), first + len(total) - 1
     if size < 1:
         return
-    levels = range(floor_log2(last) + 1)
+    levels = schedule[:floor_log2(last) + 1]
     # level l has at most (size - 1) / 2^l + 2 draws in the range
     scratch = min(_CHUNK, 2 * (size + len(levels)))
     ramp = np.arange(scratch, dtype=np.uint64)
     keys = np.empty(scratch, dtype=np.uint64)
     z = np.empty(scratch)
-    offsets = [_prf_key_offset(seed, (DOMAIN_INTERVAL, lvl)) for lvl in levels]
-    scales = [params.level_scale(lvl) for lvl in levels]
-    for segments in _draw_chunks(first, last):
+    offsets = [_prf_key_offset(seed, key) for key, _scale in levels]
+    for segments in _draw_chunks(first, last, len(levels)):
         _lvl, _k, at, count = segments[-1]
         n = at + count
         for lvl, k, at, count in segments:
             np.add(ramp[:count], np.uint64((offsets[lvl] + k) & _MASK64),
                    out=keys[at:at + count])
         u = _prf_uniform_inplace(keys[:n], z[:n].view(np.uint64))
-        _laplace_inplace(u, z[:n], [(slice(at, at + count), scales[lvl])
+        _laplace_inplace(u, z[:n], [(slice(at, at + count), levels[lvl][1])
                                     for lvl, _k, at, count in segments])
         for lvl, k, at, count in segments:
             width = 1 << lvl
@@ -489,7 +508,7 @@ def expiration_noise_range(params: MechanismParams, first: int, last: int,
     if first < 1:
         raise ValueError(f"first must be >= 1, got {first}")
     total = np.zeros(max(0, last - first + 1))
-    _add_noise_totals(total, params, first, seed)
+    _add_noise_totals(total, ExpirationCounter.schedule(params), first, seed)
     return total
 
 
@@ -500,7 +519,7 @@ def expiration_noise_totals(params: MechanismParams, positions: int,
     if positions < 0:
         raise ValueError(f"positions must be >= 0, got {positions}")
     total = np.zeros(positions + 1)
-    _add_noise_totals(total[1:], params, 1, seed)
+    _add_noise_totals(total[1:], ExpirationCounter.schedule(params), 1, seed)
     return total
 
 
@@ -512,43 +531,36 @@ def running_sums(xs: np.ndarray, carry, out: np.ndarray):
     return np.cumsum(out, out=out)[-1]
 
 
-def lagged_releases(params, xs: np.ndarray, seed: int, lag: int,
-                    noise_range, block: int):
-    """Releases of a counter that outputs 0 up to step lag, then at step t
-    the prefix through position p = t - lag plus p's noise, one array per
-    `block` steps: SimpleCounter's (lag 1, simple_noise_range) and
-    ExpirationCounter's (lag delay, expiration_noise_range) bit for bit.  A
-    block draws only its positions' noise and adds it in place."""
+def lagged_releases(counter, params, xs: np.ndarray, seed: int, block: int):
+    """Releases of a _LaggedCounter class (SimpleCounter, ExpirationCounter)
+    over the stream xs, bit for bit, one array per `block` steps: 0 up to
+    step lag, then at step t the prefix through position t - lag plus that
+    position's noise.  A block draws only its positions' noise."""
+    lag, schedule = counter.lag(params), counter.schedule(params)
     prefix = 0.0
     for lo in range(0, len(xs), block):
         out = np.zeros(min(block, len(xs) - lo))
         first, last = max(1, lo + 1 - lag), lo + len(out) - lag
         if last >= first:
+            # the noise total is summed apart, then added: step's order
+            noise = np.zeros(last - first + 1)
+            _add_noise_totals(noise, schedule, first, seed)
             released = out[first + lag - 1 - lo:]
             prefix = running_sums(xs[first - 1:last], prefix, released)
-            released += noise_range(params, first, last, seed)
+            released += noise
         yield out
 
 
 def run_expiration(params: MechanismParams, xs: np.ndarray,
                    seed: int) -> np.ndarray:
     """Released values of ExpirationCounter over the whole stream xs."""
-    return next(lagged_releases(params, xs, seed, params.delay,
-                                expiration_noise_range, max(1, len(xs))),
-                np.zeros(0))
-
-
-def simple_noise_range(params: MechanismParams, first: int, last: int,
-                       seed: int) -> np.ndarray:
-    """SimpleCounter's draws (DOMAIN_STEP, s) for s = first..last."""
-    u = prf_uniform_array(seed, (DOMAIN_STEP,),
-                          np.arange(first, last + 1, dtype=np.uint64))
-    return laplace_sample_array(1.0 / params.epsilon, u)
+    return next(lagged_releases(ExpirationCounter, params, xs, seed,
+                                max(1, len(xs))), np.zeros(0))
 
 
 def run_simple(params: MechanismParams, xs: np.ndarray, seed: int) -> np.ndarray:
     """Released values of SimpleCounter over the whole stream xs."""
-    return next(lagged_releases(params, xs, seed, 1, simple_noise_range,
+    return next(lagged_releases(SimpleCounter, params, xs, seed,
                                 max(1, len(xs))), np.zeros(0))
 
 

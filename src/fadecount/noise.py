@@ -46,14 +46,24 @@ def _mix64(h: int) -> int:
     return h ^ (h >> 31)
 
 
+def _check_seed(seed: int) -> int:
+    """seed, checked to lie in [0, 2^64): the key folds add it mod 2^64, so
+    any other seed would draw the noise of one inside (ValueError)."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def prf_uniform(seed: int, parts) -> float:
     """Deterministic uniform in (0,1) for a (seed, parts) key.
 
     ``parts`` is a tuple of small nonnegative ints identifying the draw
     (domain tag, level, index, ...).  Chaining one finalizer round per part
-    keeps distinct keys statistically independent.
+    keeps distinct keys statistically independent.  A seed outside
+    [0, 2^64) is a ValueError.
     """
-    h = seed & _MASK64
+    # _check_seed's test inline, as this runs once per scalar draw
+    h = seed if 0 <= seed <= _MASK64 else _check_seed(seed)
     for p in parts:
         h = _mix64((h + p) & _MASK64)
     return ((h >> 12) + 0.5) * _INV_2_52
@@ -66,7 +76,7 @@ def _prf_key_offset(seed: int, prefix) -> int:
     mod 2^64 is associative, so the state it leaves and the finalizer's
     golden-ratio increment fold into this one offset.
     """
-    h = seed & _MASK64
+    h = _check_seed(seed)
     for p in prefix:
         h = _mix64((h + p) & _MASK64)
     return (h + _GOLDEN) & _MASK64

@@ -135,6 +135,8 @@ def published_loss_bounds(params: MechanismParams, d_values) -> np.ndarray:
     do not always round like them.  The rest is IEEE arithmetic in
     closed_form_loss_bound's order, which numpy rounds the same.
     """
+    d = np.asarray(d_values, dtype=np.int64)
+    _check_span(d, params.delay)
     lam, scale = params.level_exponent, params.epsilon * 2.0
 
     def bounds(e):
@@ -149,7 +151,7 @@ def published_loss_bounds(params: MechanismParams, d_values) -> np.ndarray:
             closed = 1.0 + (np.fromiter(powers, float) - 1.0) / lam
         return np.maximum(exact[levels], scale * closed)
 
-    return _over_grid(d_values, bounds, params.delay)
+    return _over_grid(d, bounds, params.delay)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +166,14 @@ _BLOCK = 1 << 14
 # is m >> level itself while it is 0 or 1, then 2 if even and 3 if odd
 _LEVEL_COUNTS = np.array([[[0, 0, 1, 2], [0, 1, 2, 1]],
                           [[0, 0, 1, 0], [0, 1, 0, 1]]])
+
+
+def _check_span(d: np.ndarray, delay: int) -> None:
+    """Reject a grid whose largest n = d - delay + 1 reaches 2^62, where the
+    level tables stop (ValueError)."""
+    if d.size and int(d.max()) - delay + 1 >= 1 << 62:
+        raise ValueError("d - delay + 1 must be below 2^62, got "
+                         f"{int(d.max()) - delay + 1}")
 
 
 def _over_grid(d_values, values_at, delay: int = 0) -> np.ndarray:
@@ -264,10 +274,7 @@ def empirical_loss_curve(params: MechanismParams, d_values,
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     d = np.asarray(d_values, dtype=np.int64)
-    # the DP's level tables stop at 2^62
-    if d.size and int(d.max()) - params.delay + 1 >= 1 << 62:
-        raise ValueError("d - delay + 1 must be below 2^62, got "
-                         f"{int(d.max()) - params.delay + 1}")
+    _check_span(d, params.delay)
     return PrivacyLossCurve(d, _over_grid(
         d, lambda e: params.epsilon * _worst_decomposition_costs(
             e + 1, t_max, params), params.delay))

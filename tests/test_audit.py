@@ -142,12 +142,13 @@ class TestClosedFormBound:
 class TestPublishedLossBounds:
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_bit_equal_to_per_d(self, lam):
-        # the delay regime, n = 1, and n = 2^k - 1, 2^k, 2^k + 1 up to 2^62
+        # the delay regime, n = 1, and n = 2^k - 1, 2^k, 2^k + 1 below 2^62
         for delay in range(21):
             p = MechanismParams(0.37, lam, delay)
             ds = set(range(delay + 40))
             for k in range(1, 63):
-                ds.update(delay + n - 1 for n in (2**k - 1, 2**k, 2**k + 1))
+                ds.update(delay + n - 1 for n in (2**k - 1, 2**k, 2**k + 1)
+                          if n < 1 << 62)
             ds = sorted(ds)
             got = published_loss_bounds(p, ds)
             assert got.dtype == np.float64
@@ -413,22 +414,29 @@ class TestEmpiricalLossExpiration:
                 empirical_loss_curve(p, np.arange(10), t_max)
 
     @pytest.mark.parametrize("delay,n", [(3, (1 << 62) - 1), (3, 1 << 62),
-                                         (1, (1 << 63) - 2)])
+                                         (1, (1 << 63) - 2),
+                                         (0, (1 << 62) - 1), (0, 1 << 62),
+                                         (0, 1 << 63)])
     def test_range_lengths_below_2_62(self, delay, n):
         # the DP's level tables stop at 2^62: the largest n keeps its value,
-        # the next ones are a ValueError naming the limit, not an IndexError
+        # the next ones are a ValueError naming the limit, not an IndexError;
+        # the published bounds' grid has the same limit
         p = MechanismParams(1.0, 2.0, delay)
         d = n + delay - 1
         if n < 1 << 62:
             want = scatter_decomposition_costs(np.array([n]), 1 << 63, 2.0)
             assert empirical_loss_expiration(d, p, 1 << 63) == want[0] \
                 == 1953.0
+            assert published_loss_bounds(p, [0, d]).tolist() == [
+                published_loss_bound(0, p), published_loss_bound(d, p)]
             return
         message = f"d - delay \\+ 1 must be below 2\\^62, got {n}"
         with pytest.raises(ValueError, match=message):
             empirical_loss_expiration(d, p, 1 << 63)
         with pytest.raises(ValueError, match=message):
             empirical_loss_curve(p, [0, 5, d, 9], 100)
+        with pytest.raises(ValueError, match=message):
+            published_loss_bounds(p, [0, 5, d, 9])
 
     def test_curve_wrapper(self):
         p = MechanismParams(0.5, 1.0, 0)

@@ -18,14 +18,25 @@ from fadecount.mechanisms import (DOMAIN_INTERVAL, DOMAIN_PAST, DOMAIN_STEP,
                                   SeededNoise, SimpleCounter,
                                   expiration_max_and_mse_batch,
                                   expiration_noise_range,
-                                  expiration_noise_totals, run_expiration,
-                                  run_simple)
-from fadecount.noise import keyed_noise
+                                  expiration_noise_totals, lagged_releases,
+                                  run_expiration, run_simple)
+from fadecount.noise import keyed_noise, prf_uniform, prf_uniform_array
 from fadecount.privacy_audit import published_loss_bound
 from noise_oracles import WalkBaselineCounter, gather_noise_totals
 
 streams = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1,
                    max_size=120)
+
+
+class Listing:
+    """A noise source that lists every (key, scale) it is asked for."""
+
+    def __init__(self):
+        self.list = []
+
+    def draw(self, parts, scale):
+        self.list.append((parts, scale))
+        return keyed_noise(0, parts, scale)
 
 
 class TestParams:
@@ -106,7 +117,7 @@ class TestNoiseSources:
         assert src.draw((1, 2, 3), 1.5) == keyed_noise(9, (1, 2, 3), 1.5)
 
     def test_seed_is_64_bits(self):
-        # the PRF keeps a seed mod 2^64, so a seed outside would alias
+        # the PRF adds a seed mod 2^64, so a seed outside would alias
         assert SeededNoise(2**64 - 1).draw((1,), 1.0) == \
             keyed_noise(2**64 - 1, (1,), 1.0)
         for seed in (-1, 2**64, 2**64 + 5):
@@ -192,13 +203,20 @@ class TestSimpleCounter:
                 assert out == prefix + z
             prefix += x
 
-    @given(streams, st.integers(0, 2**32))
-    @settings(max_examples=40)
-    def test_matches_vectorized(self, xs, seed):
-        c = SimpleCounter(MechanismParams(0.7), SeededNoise(seed))
+    @given(streams, st.integers(0, 2**32), st.integers(1, 64),
+           st.integers(1, 130))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_vectorized(self, xs, seed, chunk, block):
+        # kernel chunks of 1..64 draws, and the runner in blocks of steps
+        params = MechanismParams(0.7)
+        c = SimpleCounter(params, SeededNoise(seed))
         scalar = np.array([float(c.step(x)) for x in xs])
-        vec = run_simple(MechanismParams(0.7), np.array(xs), seed)
+        with mock.patch.object(mechanisms, "_CHUNK", chunk):
+            vec = run_simple(params, np.array(xs), seed)
+            blocks = list(lagged_releases(SimpleCounter, params,
+                                          np.array(xs), seed, block))
         assert np.array_equal(scalar, vec)
+        assert np.array_equal(scalar, np.concatenate(blocks))
 
 
 class TestExpirationCounter:
@@ -273,6 +291,37 @@ class TestExpirationCounter:
         assert np.array_equal(scalar, vec)
 
 
+class TestSchedule:
+    """SimpleCounter and ExpirationCounter step through one level schedule."""
+
+    @pytest.mark.parametrize("counter,params", [
+        (SimpleCounter, MechanismParams(0.7)),
+        (ExpirationCounter, MechanismParams(0.7, 2.0, 0)),
+        (ExpirationCounter, MechanismParams(0.7, 2.0, 3))])
+    def test_step_draws_what_the_schedule_implies(self, counter, params):
+        lag, levels = counter.lag(params), counter.schedule(params)
+        if counter is SimpleCounter:
+            assert (lag, levels) == (1, [((DOMAIN_STEP,), 1 / params.epsilon)])
+        else:
+            assert lag == params.delay
+            assert levels == [((DOMAIN_INTERVAL, lvl), params.level_scale(lvl))
+                              for lvl in range(63)]
+        # after `lag` silent steps, position p redraws every level whose
+        # span 2^l divides p, in level order, keyed by the level's prefix
+        # and p >> l
+        source = Listing()
+        c = counter(params, source)
+        want = []
+        for t in range(1, (1 << 8) + 1):
+            c.step(0.5)
+            p = t - lag
+            if p >= 1:
+                want += [(key + (p >> lvl,), scale)
+                         for lvl, (key, scale) in enumerate(levels)
+                         if p % (1 << lvl) == 0]
+            assert source.list == want
+
+
 def baseline_reference_step(params, seed, xs, t):
     """Independent recomputation of the windowed baseline's release at t."""
     w, k = params.window, params.tree_depth
@@ -330,14 +379,6 @@ class TestBaselineCounter:
         # every draw is listed, with no cache to hide a repeat: each step
         # draws the one node its position completes, (nu2(s), s >> nu2(s)),
         # after the round's past draw at s = 1 of rounds r >= 2
-        class Listing:
-            def __init__(self):
-                self.list = []
-
-            def draw(self, parts, scale):
-                self.list.append((parts, scale))
-                return keyed_noise(0, parts, scale)
-
         for window in (1, 6, 8):
             params = BaselineParams(window, 1.0, 0.1)
             draws = Listing()
@@ -522,6 +563,18 @@ class TestVectorizedRunners:
             tracemalloc.stop()
         assert peak < 8 * (positions + 1) + (2 << 20)
 
+    def test_run_simple_memory_is_two_arrays(self):
+        # the releases and their noise totals, plus about one chunk of scratch
+        steps = 1 << 18
+        xs = np.full(steps, 0.5)
+        tracemalloc.start()
+        try:
+            run_simple(MechanismParams(0.8), xs, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * steps + (1 << 20)
+
     def test_rejects_negative_positions(self):
         with pytest.raises(ValueError, match="positions"):
             expiration_noise_totals(MechanismParams(1.0), -3, seed=1)
@@ -530,17 +583,37 @@ class TestVectorizedRunners:
         with pytest.raises(ValueError, match="positions"):
             expiration_max_and_mse_batch(MechanismParams(1.0), 0, [1])
 
-    def test_batch_seeds_wrap_to_64_bits(self):
-        params = MechanismParams(0.8, 1.0)
-        maxes, mses = expiration_max_and_mse_batch(params, 100,
-                                                   [-1, 2**64 + 3])
-        for i, (seed, wrapped) in enumerate(((-1, 2**64 - 1), (2**64 + 3, 3))):
-            totals = expiration_noise_totals(params, 100, seed)
-            assert np.array_equal(
-                totals, expiration_noise_totals(params, 100, wrapped))
-            mags = np.abs(totals[1:])
-            assert maxes[i] == mags.max()
-            assert mses[i] == np.mean(mags * mags)
+    def test_seeds_outside_64_bits_raise(self):
+        # the key folds add a seed mod 2^64, so one outside would alias one
+        # inside: every lane rejects it, as SeededNoise does
+        params, xs = MechanismParams(0.8, 1.0), np.zeros(100)
+        idx = np.arange(1, 4, dtype=np.uint64)
+        lanes = [
+            lambda seed: expiration_noise_totals(params, 100, seed),
+            lambda seed: expiration_noise_range(params, 5, 9, seed),
+            lambda seed: expiration_max_and_mse_batch(params, 100, [3, seed]),
+            lambda seed: run_expiration(params, xs, seed),
+            lambda seed: run_simple(params, xs, seed),
+            lambda seed: prf_uniform_array(seed, (DOMAIN_STEP,), idx),
+            lambda seed: prf_uniform(seed, (DOMAIN_STEP, 1)),
+        ]
+        for seed in (-1, 2**64 + 3):
+            for lane in lanes:
+                with pytest.raises(ValueError, match=r"^seed must be in "
+                                   rf"\[0, 2\^64\), got {seed}$"):
+                    lane(seed)
+        top = 2**64 - 1
+        for make, run in ((ExpirationCounter, run_expiration),
+                          (SimpleCounter, run_simple)):
+            c = make(params, SeededNoise(top))
+            assert np.array_equal(run(params, xs, top),
+                                  [c.step(0.0) for _ in xs])
+        maxes, mses = expiration_max_and_mse_batch(params, 100, [top])
+        mags = np.abs(expiration_noise_totals(params, 100, top)[1:])
+        assert maxes[0] == mags.max()
+        assert mses[0] == np.mean(mags * mags)
+        assert prf_uniform_array(top, (DOMAIN_STEP,), idx).tolist() == [
+            prf_uniform(top, (DOMAIN_STEP, int(k))) for k in idx]
 
     def test_no_positions_is_all_zero(self):
         totals = expiration_noise_totals(MechanismParams(1.0), 0, seed=1)
