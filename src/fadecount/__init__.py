@@ -27,7 +27,7 @@ from .privacy_audit import (CouplingReport, LowerBoundReport,
                             empirical_loss_baseline, empirical_loss_curve,
                             empirical_loss_expiration, exact_loss_bound,
                             lower_bound_check, published_loss_bound,
-                            verify_coupling)
+                            simple_loss_curve, verify_coupling)
 
 __version__ = "0.1.0"
 
@@ -46,5 +46,5 @@ __all__ = [
     "exact_loss_bound", "floor_log2", "intersect", "keyed_noise",
     "laplace_sample", "lower_bound_check", "optimal_ratio",
     "popcount_total", "published_loss_bound", "run_expiration",
-    "run_simple", "verify_coupling",
+    "run_simple", "simple_loss_curve", "verify_coupling",
 ]

@@ -31,8 +31,8 @@ from .calibration import calibrate_baseline, calibrate_epsilon, optimal_ratio
 from .mechanisms import (BaselineCounter, BaselineParams, ExpirationCounter,
                          MechanismParams, SeededNoise, SimpleCounter,
                          lagged_releases, running_sums)
-from .privacy_audit import (PrivacyLossCurve, baseline_loss_curve,
-                            empirical_loss_curve, published_loss_bounds)
+from .privacy_audit import (baseline_loss_curve, empirical_loss_curve,
+                            published_loss_bounds, simple_loss_curve)
 # bench/spans.py traces published_loss_bound under this module's name
 from .privacy_audit import published_loss_bound  # noqa: F401
 
@@ -263,9 +263,6 @@ def _expiration_params(given, mse, horizon):
 
 def _baseline_params(given, mse, horizon):
     window = given["window"]
-    # the baseline's loss kernel sums up to 2 * window - 1 in int64
-    if window > 1 << 62:
-        raise ValueError(f"--window must be at most 2^62, got {window}")
     if mse is None:
         return (BaselineParams(window, given["eps_cur"], given["eps_past"]),
                 None, None)
@@ -297,13 +294,11 @@ _EXPIRATION = _Family(
     functools.partial(lagged_releases, ExpirationCounter),
     lambda *a: empirical_loss_curve(*a), published_loss_bounds)
 MECHANISMS = {
-    # composition (Chan, Shi and Song): an input is in d fresh-draw releases;
-    # it reads --epsilon alone, as MechanismParams at the other defaults
+    # composition (Chan, Shi and Song): it reads --epsilon alone, as
+    # MechanismParams at the other defaults
     "simple": _Family(
         {"epsilon"}, None, _expiration_params,
-        functools.partial(lagged_releases, SimpleCounter),
-        lambda p, d_values, _: PrivacyLossCurve(d_values,
-                                                p.epsilon * d_values),
+        functools.partial(lagged_releases, SimpleCounter), simple_loss_curve,
         None),
     # the logarithmic counter: expiration at lambda 1, delay 0
     "log": _EXPIRATION._replace(reads={"epsilon"}),
@@ -397,9 +392,7 @@ def cmd_audit(args, parser) -> int:
     family, params, _, _ = _checked(parser, args, mechanism_params, args,
                                     horizon)
     d_values = np.arange(args.d_max + 1)
-    # simple's eps * d overflows to inf here, which PrivacyLossCurve rejects
-    with np.errstate(over="ignore"):
-        curve = _checked(parser, args, family.loss, params, d_values, horizon)
+    curve = _checked(parser, args, family.loss, params, d_values, horizon)
     theoretical = (None if family.bound is None
                    else _checked(parser, args, family.bound, params, d_values))
     with _open_output(parser, args) as fh:

@@ -150,6 +150,9 @@ class BaselineParams:
     def __post_init__(self):
         if self.window < 1 or int(self.window) != self.window:
             raise ValueError(f"window must be a positive integer, got {self.window}")
+        # the loss kernel sums up to 2 * window - 1 in int64
+        if self.window > 1 << 62:
+            raise ValueError(f"window must be at most 2^62, got {self.window}")
         _check_finite(eps_cur=self.eps_cur, eps_past=self.eps_past)
         if self.eps_cur <= 0 or self.eps_past <= 0:
             raise ValueError("both eps values must be positive")
@@ -500,22 +503,10 @@ def _add_noise_totals(total: np.ndarray, schedule, first: int,
                 total[start + (count - 1) * width:] += z[at + count - 1]
 
 
-def expiration_noise_range(params: MechanismParams, first: int, last: int,
-                           seed: int) -> np.ndarray:
-    """Total interval noise at release positions first..last (first >= 1;
-    empty when last < first).  A range draws only the intervals that meet
-    it: at most two per position plus two per level."""
-    if first < 1:
-        raise ValueError(f"first must be >= 1, got {first}")
-    total = np.zeros(max(0, last - first + 1))
-    _add_noise_totals(total, ExpirationCounter.schedule(params), first, seed)
-    return total
-
-
 def expiration_noise_totals(params: MechanismParams, positions: int,
                             seed: int) -> np.ndarray:
     """Total interval noise at release positions 1..positions (index 0
-    unused): expiration_noise_range over the whole stream."""
+    unused)."""
     if positions < 0:
         raise ValueError(f"positions must be >= 0, got {positions}")
     total = np.zeros(positions + 1)
@@ -535,7 +526,12 @@ def lagged_releases(counter, params, xs: np.ndarray, seed: int, block: int):
     """Releases of a _LaggedCounter class (SimpleCounter, ExpirationCounter)
     over the stream xs, bit for bit, one array per `block` steps: 0 up to
     step lag, then at step t the prefix through position t - lag plus that
-    position's noise.  A block draws only its positions' noise."""
+    position's noise.  A block draws only its positions' noise.  A seed
+    outside [0, 2^64) or a value of xs outside [0,1] is a ValueError, as in
+    step, raised before the first block."""
+    _check_seed(seed)
+    if len(xs) and not (xs.min() >= 0 and xs.max() <= 1):  # NaN fails too
+        _check_input(float(xs[~((xs >= 0) & (xs <= 1))][0]))
     lag, schedule = counter.lag(params), counter.schedule(params)
     prefix = 0.0
     for lo in range(0, len(xs), block):

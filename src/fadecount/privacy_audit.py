@@ -14,6 +14,13 @@ stream.  Three curves matter for the expiration counter:
   continuous form can dip below it at isolated d);
   ``published_loss_bounds`` gives the same floats over a whole grid.
 
+Each mechanism family's loss is one block function that ``_over_grid`` runs
+over a d grid: ``empirical_loss_curve`` (the expiration counter),
+``baseline_loss_curve`` and ``simple_loss_curve`` (eps * d, the composition
+counter).  The scalar ``empirical_loss_expiration`` and
+``empirical_loss_baseline`` are one-point reads of them; the scalar bounds
+stay independent of the grid form, as its oracle.
+
 ``verify_coupling`` turns the privacy argument into a test: run a counter,
 shift the noises of its coupling rule (``coupling_keys``) by the input
 difference, re-run on the neighboring stream, and demand bit-identical
@@ -94,8 +101,10 @@ def exact_loss_bound(d: int, params: MechanismParams) -> float:
     """Tight per-d loss bound: eps * 2 * sum of (1+l)^(exponent-1) levels.
 
     Two intervals per level of the covering decomposition, levels up to
-    floor(log2(d - delay + 1)); 0 in the delay regime d < delay.
+    floor(log2(d - delay + 1)); 0 in the delay regime d < delay.  As on a
+    grid, d - delay + 1 must be below 2^62.
     """
+    _check_span(d, params.delay)
     if d < params.delay:
         return 0.0
     levels = (d - params.delay + 1).bit_length()
@@ -111,6 +120,7 @@ def closed_form_loss_bound(d: int, params: MechanismParams) -> float:
     the log here is continuous, this can dip below exact_loss_bound at
     isolated d; use published_loss_bound for a dominating curve.
     """
+    _check_span(d, params.delay)
     if d < params.delay:
         return 0.0
     lam = params.level_exponent
@@ -136,7 +146,7 @@ def published_loss_bounds(params: MechanismParams, d_values) -> np.ndarray:
     closed_form_loss_bound's order, which numpy rounds the same.
     """
     d = np.asarray(d_values, dtype=np.int64)
-    _check_span(d, params.delay)
+    _check_span(int(d.max(initial=0)), params.delay)
     lam, scale = params.level_exponent, params.epsilon * 2.0
 
     def bounds(e):
@@ -168,12 +178,12 @@ _LEVEL_COUNTS = np.array([[[0, 0, 1, 2], [0, 1, 2, 1]],
                           [[0, 0, 1, 0], [0, 1, 0, 1]]])
 
 
-def _check_span(d: np.ndarray, delay: int) -> None:
-    """Reject a grid whose largest n = d - delay + 1 reaches 2^62, where the
-    level tables stop (ValueError)."""
-    if d.size and int(d.max()) - delay + 1 >= 1 << 62:
+def _check_span(d_max: int, delay: int) -> None:
+    """Reject a d (a grid's largest) whose n = d - delay + 1 reaches 2^62,
+    where the level tables stop (ValueError)."""
+    if d_max - delay + 1 >= 1 << 62:
         raise ValueError("d - delay + 1 must be below 2^62, got "
-                         f"{int(d.max()) - delay + 1}")
+                         f"{d_max - delay + 1}")
 
 
 def _over_grid(d_values, values_at, delay: int = 0) -> np.ndarray:
@@ -274,7 +284,7 @@ def empirical_loss_curve(params: MechanismParams, d_values,
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     d = np.asarray(d_values, dtype=np.int64)
-    _check_span(d, params.delay)
+    _check_span(int(d.max(initial=0)), params.delay)
     return PrivacyLossCurve(d, _over_grid(
         d, lambda e: params.epsilon * _worst_decomposition_costs(
             e + 1, t_max, params), params.delay))
@@ -300,7 +310,8 @@ def _baseline_tree_maxima(params: BaselineParams, d_values, horizon: int):
       the first level-l node; it ends at 2^l <= window, so the window
       never cuts it.  Hence tree_p = #{l < k : 2^l <= S + d}.  All k
       levels count once d >= window - 1, so d is capped there (which
-      keeps S + d below 2 * window, inside int64 up to window 2^62).
+      keeps S + d below 2 * window, inside int64 up to window 2^62, the
+      largest BaselineParams takes).
     * after split: s+d > window, so every node ending inside the window
       counts; node ends only grow with s, so position split+1 is the
       worst.  Its level-l node ends inside the window iff
@@ -315,8 +326,6 @@ def _baseline_tree_maxima(params: BaselineParams, d_values, horizon: int):
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     w = params.window
-    if w > 1 << 62:
-        raise ValueError(f"window must be at most 2^62, got {w}")
     width = min(w, horizon)
 
     def levels_up_to(x):
@@ -330,8 +339,14 @@ def _baseline_tree_maxima(params: BaselineParams, d_values, horizon: int):
     return d // w, tree_p, tree_next
 
 
-def _baseline_loss(params: BaselineParams, tree, past):
-    return params.eps_cur * tree / params.tree_depth + params.eps_past * past
+def _baseline_losses(params: BaselineParams, d: np.ndarray, horizon: int):
+    """empirical_loss_baseline at every d of an int64 array, in the numeric
+    type of eps_cur/eps_past (an object array for Fractions)."""
+    past, tree_p, tree_next = _baseline_tree_maxima(params, d, horizon)
+    now, later = (params.eps_cur * tree / params.tree_depth
+                  + params.eps_past * rounds
+                  for tree, rounds in ((tree_p, past), (tree_next, past + 1)))
+    return np.where(tree_next >= 0, np.maximum(now, later), now)
 
 
 def empirical_loss_baseline(d: int, params: BaselineParams, horizon: int):
@@ -352,25 +367,27 @@ def empirical_loss_baseline(d: int, params: BaselineParams, horizon: int):
     """
     if d < 0:
         raise ValueError(f"d must be nonnegative, got {d}")
-    past, tree_p, tree_next = (
-        int(v[0]) for v in _baseline_tree_maxima(params, [d], horizon))
-    best = _baseline_loss(params, tree_p, past)
-    if tree_next >= 0:
-        best = max(best, _baseline_loss(params, tree_next, past + 1))
-    return best
+    # a one-point read of the grid form; a float overflow gives inf, as
+    # Python floats do
+    with np.errstate(over="ignore"):
+        return _baseline_losses(params, np.array([d], dtype=np.int64),
+                                horizon).item()
 
 
 def baseline_loss_curve(params: BaselineParams, d_values,
                         horizon: int) -> PrivacyLossCurve:
     """empirical_loss_baseline at every d of a grid, a block at a time."""
+    return PrivacyLossCurve(d_values, _over_grid(
+        d_values, lambda d: _baseline_losses(params, d, horizon)))
 
-    def losses(d):
-        past, tree_p, tree_next = _baseline_tree_maxima(params, d, horizon)
-        loss = _baseline_loss(params, tree_p, past)
-        later = np.maximum(loss, _baseline_loss(params, tree_next, past + 1))
-        return np.where(tree_next >= 0, later, loss)
 
-    return PrivacyLossCurve(d_values, _over_grid(d_values, losses))
+def simple_loss_curve(params: MechanismParams, d_values,
+                      horizon: int) -> PrivacyLossCurve:
+    """Worst-case loss of the composition counter (SimpleCounter) at every
+    d of a grid: an input is in d fresh-draw releases, each at epsilon, so
+    eps * d (horizon is not read)."""
+    return PrivacyLossCurve(d_values, _over_grid(
+        d_values, lambda d: params.epsilon * d))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from fadecount.privacy_audit import (CouplingReport, PrivacyLossCurve,
                                      empirical_loss_expiration,
                                      exact_loss_bound, lower_bound_check,
                                      published_loss_bound,
-                                     published_loss_bounds, verify_coupling)
+                                     published_loss_bounds,
+                                     simple_loss_curve, verify_coupling)
 
 from audit_oracles import (count_search_tree_maxima,
                            scatter_decomposition_costs, search_loss_baseline,
@@ -166,23 +167,40 @@ class TestPublishedLossBounds:
         assert np.array_equal(
             bits(got), bits([published_loss_bound(d, p) for d in ds]))
 
+    @pytest.mark.parametrize("bound", [exact_loss_bound,
+                                       closed_form_loss_bound,
+                                       published_loss_bound])
+    def test_scalar_shares_the_grid_limit(self, bound):
+        # n = d - delay + 1 below 2^62, as on a grid; past it a ValueError,
+        # not a value or an OverflowError
+        for delay, lam in ((0, 1.0), (3, 1.0), (0, 171.0)):
+            p = MechanismParams(0.8, lam, delay)
+            top = (1 << 62) - 2 + delay
+            assert bound(top, p) > 0
+            for d in (top + 1, 2**63 - 1, 2**63):
+                with pytest.raises(ValueError, match=r"^d - delay \+ 1 must "
+                                   rf"be below 2\^62, got {d - delay + 1}$"):
+                    bound(d, p)
+
     def test_all_in_delay_regime(self):
         p = MechanismParams(1.0, 0.0, 5)
         assert published_loss_bounds(p, [0, 4, 2]).tolist() == [0.0] * 3
 
 
 def grid_curves(p, bp, ds, t_max):
-    """The three grid functions at ds: expiration losses, published
-    bounds and baseline losses."""
+    """The four grid functions at ds: expiration losses, published
+    bounds, baseline losses and the composition counter's losses."""
     return (empirical_loss_curve(p, ds, t_max).loss,
-            published_loss_bounds(p, ds), baseline_loss_curve(bp, ds, t_max).loss)
+            published_loss_bounds(p, ds), baseline_loss_curve(bp, ds, t_max).loss,
+            simple_loss_curve(p, ds, t_max).loss)
 
 
 def scalar_curves(p, bp, ds, t_max):
     """The per-d oracles of grid_curves."""
     return ([search_loss_expiration(int(d), p, t_max) for d in ds],
             [published_loss_bound(int(d), p) for d in ds],
-            [empirical_loss_baseline(int(d), bp, t_max) for d in ds])
+            [empirical_loss_baseline(int(d), bp, t_max) for d in ds],
+            [p.epsilon * int(d) for d in ds])
 
 
 class TestGridDriver:
@@ -223,12 +241,13 @@ class TestGridDriver:
         p = MechanismParams(0.5, 2.0, 5)
         bp = BaselineParams(1023, 0.7, 0.07)
         with mock.patch.object(privacy_audit, "_BLOCK", 2):
-            losses, bounds, base = grid_curves(p, bp, ds, 10**6)
+            losses, bounds, base, simple = grid_curves(p, bp, ds, 10**6)
         assert np.array_equal(
             bits(bounds), bits([published_loss_bound(d, p) for d in ds]))
         assert np.array_equal(
             bits(base),
             bits([empirical_loss_baseline(d, bp, 10**6) for d in ds]))
+        assert np.array_equal(bits(simple), bits([0.5 * d for d in ds]))
         live = np.array(ds[2:]) - 5 + 1
         assert np.array_equal(
             losses, [0.0, 0.0] + list(0.5 * scatter_decomposition_costs(
@@ -242,7 +261,8 @@ class TestGridDriver:
         bp = BaselineParams(1023, 0.7, 0.07)
         for call in (lambda: empirical_loss_curve(p, ds, 1 << 20),
                      lambda: published_loss_bounds(p, ds),
-                     lambda: baseline_loss_curve(bp, ds, 1 << 20)):
+                     lambda: baseline_loss_curve(bp, ds, 1 << 20),
+                     lambda: simple_loss_curve(p, ds, 1 << 20)):
             tracemalloc.start()
             try:
                 call()
@@ -257,7 +277,8 @@ class TestGridDriver:
         lambda ds: baseline_loss_curve(BaselineParams(8, 1.0, 0.1), ds, 10),
         lambda ds: empirical_loss_expiration(ds[0], MechanismParams(1.0), 10),
         lambda ds: empirical_loss_baseline(ds[0], BaselineParams(8, 1.0, 0.1),
-                                           10)])
+                                           10),
+        lambda ds: simple_loss_curve(MechanismParams(1.0), ds, 10)])
     def test_negative_d_is_an_error(self, call):
         with pytest.raises(ValueError, match="d must be nonnegative, got -3"):
             call([-3, 0, 1])
@@ -268,7 +289,8 @@ class TestGridDriver:
         (lambda ds: published_loss_bounds(MechanismParams(1e308, 3.0), ds),
          0),
         (lambda ds: baseline_loss_curve(BaselineParams(7, 1e308, 1e308), ds,
-                                        9), 0)])
+                                        9), 0),
+        (lambda ds: simple_loss_curve(MechanismParams(1e308), ds, 9), 2)])
     def test_overflow_is_an_error_without_a_warning(self, call, d):
         ds = np.arange(4)
         with warnings.catch_warnings():
@@ -510,10 +532,11 @@ class TestEmpiricalLossBaseline:
         params = BaselineParams(w, eps_cur, eps_past)
         ds = sorted(ds)
         want = [search_loss_baseline(d, params, horizon) for d in ds]
-        assert np.array_equal(baseline_loss_curve(params, ds, horizon).loss,
-                              want)
-        assert [empirical_loss_baseline(d, params, horizon)
-                for d in ds] == want
+        got = baseline_loss_curve(params, ds, horizon).loss
+        assert np.array_equal(got, want)
+        # the scalar is a point of the curve, bit for bit
+        assert np.array_equal(bits(got), bits(
+            [empirical_loss_baseline(d, params, horizon) for d in ds]))
 
     @given(st.integers(1, 200), st.integers(0, 1000), st.integers(1, 400),
            st.fractions(Fraction(1, 100), 2, max_denominator=1000),
@@ -525,6 +548,13 @@ class TestEmpiricalLossBaseline:
         got = empirical_loss_baseline(d, params, horizon)
         assert isinstance(got, Fraction)
         assert got == search_loss_baseline(d, params, horizon)
+
+    def test_scalar_overflow_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = empirical_loss_baseline(0, BaselineParams(7, 1e308, 1e308),
+                                          9)
+        assert got == math.inf
 
     def test_kernel_equals_position_loop_small_windows(self):
         # every horizon up to past the window, and every d over three rounds
@@ -590,17 +620,14 @@ class TestClosedFormTreeMaxima:
         assert params.tree_depth == 63
         assert tree_p.tolist() == [63] * 3
 
-    def test_window_above_2_62_is_an_error(self):
-        # 2 * window - 1 would wrap int64 and count no tree levels
-        params = BaselineParams((1 << 62) + 1, 1.0, 0.1)
-        d = params.window
-        for call in (
-                lambda: privacy_audit._baseline_tree_maxima(
-                    params, [d], (1 << 63) - 1),
-                lambda: baseline_loss_curve(params, [d], (1 << 63) - 1),
-                lambda: empirical_loss_baseline(d, params, (1 << 63) - 1)):
-            with pytest.raises(ValueError, match="window"):
-                call()
+    def test_window_limit_is_in_params(self):
+        # above 2^62, 2 * window - 1 would wrap int64 and count no tree
+        # levels; BaselineParams, which every kernel takes, stops it
+        assert BaselineParams(1 << 62, 1.0, 0.1).tree_depth == 63
+        for w in ((1 << 62) + 1, 10**20):
+            with pytest.raises(ValueError, match=r"^window must be at most "
+                               rf"2\^62, got {w}$"):
+                BaselineParams(w, 1.0, 0.1)
 
     def test_largest_d(self):
         # d near 2^63 stays in int64

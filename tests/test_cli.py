@@ -641,7 +641,7 @@ class TestUsageErrors:
         (["audit", "--mechanism", "baseline", "--window",
           "99999999999999999999", "--eps-cur", "1", "--eps-past", "1",
           "--d-max", "3", "--output", "{out}"],
-         "--window must be at most 2^62, got 99999999999999999999"),
+         "window must be at most 2^62, got 99999999999999999999"),
         (["run", "--epsilon", "1", "--generator", "bernoulli(0.5)",
           "--t-max", "3", "--seed", "-1", "--output", "{out}"],
          "--seed must be >= 0, got -1"),
@@ -652,10 +652,10 @@ class TestUsageErrors:
          "--seed must be below 2^64, got 18446744073709551616"),
         (["run", "--mechanism", "baseline", "--window", "4611686018427387905",
           "--eps-cur", "1", "--eps-past", "1", *GEN, "--output", "{out}"],
-         "--window must be at most 2^62, got 4611686018427387905"),
+         "window must be at most 2^62, got 4611686018427387905"),
         (["calibrate", "--mse", "100", "--t-max", "64", "--window",
           "4611686018427387905"],
-         "--window must be at most 2^62, got 4611686018427387905"),
+         "window must be at most 2^62, got 4611686018427387905"),
         # the kernel fails after the grid is built: no directory is left
         (["figures", "2a", "--d-max", "4611686018427387903",
           "--output", "{out}"],

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import types
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fadecount import mechanisms
+from fadecount import cli, mechanisms
 from fadecount.dyadic import floor_log2
 from fadecount.mechanisms import (DOMAIN_INTERVAL, DOMAIN_PAST, DOMAIN_STEP,
                                   DOMAIN_TREE, BaselineCounter, BaselineParams,
@@ -17,7 +18,6 @@ from fadecount.mechanisms import (DOMAIN_INTERVAL, DOMAIN_PAST, DOMAIN_STEP,
                                   RecordingNoise, ReplayNoise,
                                   SeededNoise, SimpleCounter,
                                   expiration_max_and_mse_batch,
-                                  expiration_noise_range,
                                   expiration_noise_totals, lagged_releases,
                                   run_expiration, run_simple)
 from fadecount.noise import keyed_noise, prf_uniform, prf_uniform_array
@@ -26,6 +26,15 @@ from noise_oracles import WalkBaselineCounter, gather_noise_totals
 
 streams = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1,
                    max_size=120)
+
+
+def noise_range(params, first, last, seed):
+    """The range kernel's total interval noise at release positions
+    first..last (first >= 1)."""
+    total = np.zeros(max(0, last - first + 1))
+    mechanisms._add_noise_totals(total, ExpirationCounter.schedule(params),
+                                 first, seed)
+    return total
 
 
 class Listing:
@@ -58,10 +67,11 @@ class TestParams:
                 MechanismParams(1.0, bad)
 
     def test_largest_level_exponent(self):
-        # the published bound's power and level sum at n = 2^62 stay finite
+        # the published bound at the largest n, 2^62 - 1, and the level sum
+        # at n = 2^62, where the power is checked, stay finite
         p = MechanismParams(1.0, 171.0)
-        top = published_loss_bound((1 << 62) - 1, p)
-        assert top == 2.0 * p.budget_sums(63)[-1] < 1.66e306
+        assert 5.69e305 < published_loss_bound((1 << 62) - 2, p) < 5.7e305
+        assert 1.65e306 < 2.0 * p.budget_sums(63)[-1] < 1.66e306
         with pytest.raises(ValueError, match=r"^63\.0 \*\* level_exponent must "
                            r"be a positive finite float, got inf "
                            r"\(level_exponent 172\.0\)$"):
@@ -176,6 +186,41 @@ class TestInputValidation:
         scalar = np.array([c.step(x) for x in xs], dtype=np.float64)
         assert np.array_equal(
             scalar, run_expiration(params, xs.astype(np.float64), seed))
+
+    @given(st.lists(st.floats(0.0, 1.0), max_size=40),
+           st.sampled_from([math.nan, math.inf, -math.inf, -1e-300,
+                            1 + 2**-52, 5.0, -3.0]),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_vector_paths_reject_what_step_rejects(self, good, bad, data):
+        # one bad value anywhere in a stream: the runners and every family's
+        # `run` blocks raise step's message before they release anything
+        at = data.draw(st.integers(0, len(good)))
+        xs = np.array(good[:at] + [bad] + good[at:])
+        params = MechanismParams(0.8, 1.0, 2)
+        message = "^" + re.escape(f"stream values must lie in [0,1], got "
+                                  f"{bad!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            ExpirationCounter(params, SeededNoise(1)).step(bad)
+        for run in (run_expiration, run_simple):
+            with pytest.raises(ValueError, match=message):
+                run(params, xs, 1)
+        for name, family in cli.MECHANISMS.items():
+            fp = BaselineParams(4, 1.0, 0.1) if name == "baseline" else params
+            with pytest.raises(ValueError, match=message):
+                list(family.releases(fp, xs, 1, 4))
+
+    @pytest.mark.parametrize("length", [0, 1])
+    def test_short_streams_check_the_seed(self, length):
+        # a stream too short to draw anything still rejects a seed that
+        # SeededNoise rejects
+        params, xs = MechanismParams(0.8, 1.0, 3), np.zeros(length)
+        for run in (run_expiration, run_simple):
+            for seed in (-1, 2**64, 2**70):
+                with pytest.raises(ValueError, match=r"^seed must be in "
+                                   rf"\[0, 2\^64\), got {seed}$"):
+                    run(params, xs, seed)
+            assert run(params, xs, 2**64 - 1).tolist() == [0.0] * length
 
     def test_exact_inputs_pass_through(self):
         for x in (Fraction(1, 3), 1, 0, True, 0.25):
@@ -514,8 +559,7 @@ class TestVectorizedRunners:
         params = MechanismParams(0.8, lam, 0)
         last = first + count - 1
         want = gather_noise_totals(params, max(last, 0), seed)[first:last + 1]
-        assert np.array_equal(
-            expiration_noise_range(params, first, last, seed), want)
+        assert np.array_equal(noise_range(params, first, last, seed), want)
 
     @given(st.integers(1, 600), st.integers(0, 600), st.integers(1, 64),
            st.integers(0, 2**64 - 1))
@@ -526,7 +570,7 @@ class TestVectorizedRunners:
         last = first + count - 1
         want = gather_noise_totals(params, max(last, 0), seed)[first:last + 1]
         with mock.patch.object(mechanisms, "_CHUNK", chunk):
-            got = expiration_noise_range(params, first, last, seed)
+            got = noise_range(params, first, last, seed)
         assert np.array_equal(got, want)
 
     def test_range_draws_only_its_positions(self):
@@ -540,17 +584,13 @@ class TestVectorizedRunners:
             return finish(keys, scratch)
 
         with mock.patch.object(mechanisms, "_prf_uniform_inplace", counting):
-            got = expiration_noise_range(params, p, p, seed)
+            got = noise_range(params, p, p, seed)
         assert sum(drawn) == 21
         want = 0
         for lvl in range(21):
             want = want + keyed_noise(seed, (DOMAIN_INTERVAL, lvl, p >> lvl),
                                       params.level_scale(lvl))
         assert got.tolist() == [want]
-
-    def test_range_rejects_position_zero(self):
-        with pytest.raises(ValueError, match="first"):
-            expiration_noise_range(MechanismParams(1.0), 0, 5, seed=1)
 
     def test_kernel_scratch_is_bounded(self):
         # the output plus scratch of about one chunk, not a copy per level
@@ -590,7 +630,7 @@ class TestVectorizedRunners:
         idx = np.arange(1, 4, dtype=np.uint64)
         lanes = [
             lambda seed: expiration_noise_totals(params, 100, seed),
-            lambda seed: expiration_noise_range(params, 5, 9, seed),
+            lambda seed: noise_range(params, 5, 9, seed),
             lambda seed: expiration_max_and_mse_batch(params, 100, [3, seed]),
             lambda seed: run_expiration(params, xs, seed),
             lambda seed: run_simple(params, xs, seed),
