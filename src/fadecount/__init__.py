@@ -15,11 +15,10 @@ from .calibration import (BaselineCalibration, CalibrationResult,
                           calibrate_baseline, calibrate_epsilon,
                           error_bound_expiration, optimal_ratio,
                           popcount_total)
-from .dyadic import DyadicInterval, decompose, floor_log2, intersect
+from .dyadic import DyadicInterval, decompose, floor_log2
 from .mechanisms import (BaselineCounter, BaselineParams, ExpirationCounter,
                          MechanismParams, RecordingNoise, ReplayNoise,
-                         SeededNoise, SimpleCounter, ZeroNoise,
-                         run_expiration, run_simple)
+                         SeededNoise, SimpleCounter, run_expiration)
 from .noise import concentration_threshold, keyed_noise, laplace_sample
 from .privacy_audit import (CouplingReport, LowerBoundReport,
                             PrivacyLossCurve, baseline_loss_curve,
@@ -36,15 +35,15 @@ __all__ = [
     "CalibrationResult", "CouplingReport", "DyadicInterval",
     "ExpirationCounter", "LowerBoundReport",
     "MechanismParams", "PrivacyLossCurve", "RecordingNoise", "ReplayNoise",
-    "SeededNoise", "SimpleCounter", "ZeroNoise",
+    "SeededNoise", "SimpleCounter",
     "analytic_mse_baseline", "analytic_mse_expiration",
     "baseline_loss_curve", "calibrate_baseline", "calibrate_epsilon",
     "closed_form_loss_bound", "concentration_threshold",
     "coupling_shift", "decompose",
     "empirical_loss_baseline", "empirical_loss_curve",
     "empirical_loss_expiration", "error_bound_expiration",
-    "exact_loss_bound", "floor_log2", "intersect", "keyed_noise",
+    "exact_loss_bound", "floor_log2", "keyed_noise",
     "laplace_sample", "lower_bound_check", "optimal_ratio",
     "popcount_total", "published_loss_bound", "run_expiration",
-    "run_simple", "simple_loss_curve", "verify_coupling",
+    "simple_loss_curve", "verify_coupling",
 ]

@@ -81,14 +81,17 @@ def analytic_mse_baseline(params: BaselineParams, T: int) -> float:
     return (tree / (eps_cur * eps_cur) + past / (eps_past * eps_past)) / T
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    """Privacy parameter hitting a target MSE over a horizon."""
+def _check_target(target_mse: float, **others) -> None:
+    """Reject a target MSE (or any of others) that is not finite, then a
+    target MSE that is not positive (ValueError)."""
+    _check_finite(target_mse=target_mse, **others)
+    if target_mse <= 0:
+        raise ValueError(f"target_mse must be positive, got {target_mse}")
 
-    epsilon: float
-    achieved_mse: float
-    horizon: int
-    target_mse: float
+
+class _HitsTarget:
+    """A calibration's result, which must hit its target_mse: achieved_mse
+    within a relative _REL_TOL of it, else a ValueError."""
 
     def __post_init__(self):
         rel = abs(self.achieved_mse - self.target_mse) / self.target_mse
@@ -98,7 +101,17 @@ class CalibrationResult:
 
 
 @dataclass(frozen=True)
-class BaselineCalibration:
+class CalibrationResult(_HitsTarget):
+    """Privacy parameter hitting a target MSE over a horizon."""
+
+    epsilon: float
+    achieved_mse: float
+    horizon: int
+    target_mse: float
+
+
+@dataclass(frozen=True)
+class BaselineCalibration(_HitsTarget):
     """Baseline budget pair hitting a target MSE over a horizon."""
 
     eps_cur: float
@@ -107,23 +120,11 @@ class BaselineCalibration:
     horizon: int
     target_mse: float
 
-    def __post_init__(self):
-        rel = abs(self.achieved_mse - self.target_mse) / self.target_mse
-        if rel > _REL_TOL:
-            raise ValueError(
-                f"calibration failed to hit target: relative error {rel:.3e}")
-
-    @property
-    def ratio(self) -> float:
-        return self.eps_past / self.eps_cur
-
 
 def calibrate_epsilon(target_mse: float, T: int, level_exponent: float = 1.0,
                       delay: int = 0) -> CalibrationResult:
     """Find eps with analytic_mse_expiration == target_mse (closed form)."""
-    _check_finite(target_mse=target_mse)
-    if target_mse <= 0:
-        raise ValueError(f"target_mse must be positive, got {target_mse}")
+    _check_target(target_mse)
     unit = analytic_mse_expiration(
         MechanismParams(1.0, level_exponent, delay), T)
     if unit == 0.0:
@@ -137,9 +138,7 @@ def calibrate_epsilon(target_mse: float, T: int, level_exponent: float = 1.0,
 def calibrate_baseline(target_mse: float, T: int, window: int,
                        ratio: float) -> BaselineCalibration:
     """Find (eps_cur, eps_past = ratio * eps_cur) hitting target_mse."""
-    _check_finite(target_mse=target_mse, ratio=ratio)
-    if target_mse <= 0:
-        raise ValueError(f"target_mse must be positive, got {target_mse}")
+    _check_target(target_mse, ratio=ratio)
     if ratio <= 0:
         raise ValueError(f"ratio must be positive, got {ratio}")
     # at unit eps_cur the past draws' variance is a sum over ratio^2, which

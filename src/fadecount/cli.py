@@ -391,7 +391,11 @@ def cmd_audit(args, parser) -> int:
     horizon = args.t_max if args.t_max is not None else args.d_max + 1
     family, params, _, _ = _checked(parser, args, mechanism_params, args,
                                     horizon)
-    d_values = np.arange(args.d_max + 1)
+    try:
+        d_values = np.arange(args.d_max + 1)
+    except (ValueError, MemoryError):
+        _usage_error(parser, args, f"--d-max {args.d_max} is too long: "
+                     "numpy cannot allocate the grid")
     curve = _checked(parser, args, family.loss, params, d_values, horizon)
     theoretical = (None if family.bound is None
                    else _checked(parser, args, family.bound, params, d_values))

@@ -1,9 +1,9 @@
-"""Dyadic intervals on [1, oo): membership, intersection, decomposition.
+"""Dyadic intervals on [1, oo) and the decomposition of a range into them.
 
 Level-l intervals are [k*2^l, (k+1)*2^l - 1] for k >= 1; intervals that
 would start at 0 are excluded, so level l tiles [2^l, oo).  A position t
-therefore lies in exactly floor(log2 t) + 1 intervals, one per level up to
-floor(log2 t).
+therefore lies in exactly floor(log2 t) + 1 intervals, DyadicInterval(l,
+t >> l) for each level l up to floor(log2 t).
 
 The decomposition of an arbitrary range [a, b] into at most two intervals
 per level is computed by the standard two-pointer walk (climb both ends one
@@ -19,7 +19,11 @@ import numpy as np
 
 
 class DyadicInterval(NamedTuple):
-    """[index * 2**level, (index+1) * 2**level - 1], index >= 1."""
+    """[index * 2**level, (index+1) * 2**level - 1], index >= 1.
+
+    A tuple: `t in iv` tests (level, index), so test a position t as
+    iv.start <= t <= iv.end.
+    """
 
     level: int
     index: int
@@ -32,21 +36,11 @@ class DyadicInterval(NamedTuple):
     def end(self) -> int:
         return ((self.index + 1) << self.level) - 1
 
-    def __contains__(self, t) -> bool:
-        return self.start <= t <= self.end
-
 
 def floor_log2(n: int) -> int:
     if n < 1:
         raise ValueError(f"floor_log2 needs n >= 1, got {n}")
     return n.bit_length() - 1
-
-
-def intersect(t: int) -> list[DyadicInterval]:
-    """All intervals containing t, ordered by level; length floor(log2 t)+1."""
-    if t < 1:
-        raise ValueError(f"position must be >= 1, got {t}")
-    return [DyadicInterval(lvl, t >> lvl) for lvl in range(floor_log2(t) + 1)]
 
 
 def decompose(a: int, b: int) -> list[DyadicInterval]:

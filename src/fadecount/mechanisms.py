@@ -184,13 +184,6 @@ class SeededNoise:
         return keyed_noise(self.seed, parts, scale)
 
 
-class ZeroNoise:
-    """Forces every draw to exactly 0 — for exactness tests and debugging."""
-
-    def draw(self, parts, scale):
-        return 0
-
-
 class RecordingNoise:
     """Wraps a source and remembers every draw in a ledger dict.
 
@@ -414,8 +407,7 @@ class BaselineCounter:
 # schedule, the noise keys, the PRF lane and the summation order are shared
 # — but evaluate streams with numpy.  The noise kernel takes a schedule and
 # any range of positions, so lagged_releases draws one block of rows at a
-# time for `fadecount run`, and the whole stream at once for run_expiration
-# and run_simple.
+# time for `fadecount run`, and the whole stream at once for run_expiration.
 
 
 # draws per pass of the noise-total kernel: its scratch is three arrays of
@@ -551,12 +543,6 @@ def run_expiration(params: MechanismParams, xs: np.ndarray,
                    seed: int) -> np.ndarray:
     """Released values of ExpirationCounter over the whole stream xs."""
     return next(lagged_releases(ExpirationCounter, params, xs, seed,
-                                max(1, len(xs))), np.zeros(0))
-
-
-def run_simple(params: MechanismParams, xs: np.ndarray, seed: int) -> np.ndarray:
-    """Released values of SimpleCounter over the whole stream xs."""
-    return next(lagged_releases(SimpleCounter, params, xs, seed,
                                 max(1, len(xs))), np.zeros(0))
 
 

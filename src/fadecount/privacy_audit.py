@@ -102,9 +102,9 @@ def exact_loss_bound(d: int, params: MechanismParams) -> float:
 
     Two intervals per level of the covering decomposition, levels up to
     floor(log2(d - delay + 1)); 0 in the delay regime d < delay.  As on a
-    grid, d - delay + 1 must be below 2^62.
+    grid, d must be nonnegative and d - delay + 1 below 2^62.
     """
-    _check_span(d, params.delay)
+    _check_d(d, d, params.delay)
     if d < params.delay:
         return 0.0
     levels = (d - params.delay + 1).bit_length()
@@ -120,7 +120,7 @@ def closed_form_loss_bound(d: int, params: MechanismParams) -> float:
     the log here is continuous, this can dip below exact_loss_bound at
     isolated d; use published_loss_bound for a dominating curve.
     """
-    _check_span(d, params.delay)
+    _check_d(d, d, params.delay)
     if d < params.delay:
         return 0.0
     lam = params.level_exponent
@@ -145,8 +145,6 @@ def published_loss_bounds(params: MechanismParams, d_values) -> np.ndarray:
     do not always round like them.  The rest is IEEE arithmetic in
     closed_form_loss_bound's order, which numpy rounds the same.
     """
-    d = np.asarray(d_values, dtype=np.int64)
-    _check_span(int(d.max(initial=0)), params.delay)
     lam, scale = params.level_exponent, params.epsilon * 2.0
 
     def bounds(e):
@@ -161,7 +159,7 @@ def published_loss_bounds(params: MechanismParams, d_values) -> np.ndarray:
             closed = 1.0 + (np.fromiter(powers, float) - 1.0) / lam
         return np.maximum(exact[levels], scale * closed)
 
-    return _over_grid(d, bounds, params.delay)
+    return _over_grid(d_values, bounds, params.delay)
 
 
 # ---------------------------------------------------------------------------
@@ -178,24 +176,42 @@ _LEVEL_COUNTS = np.array([[[0, 0, 1, 2], [0, 1, 2, 1]],
                           [[0, 0, 1, 0], [0, 1, 0, 1]]])
 
 
-def _check_span(d_max: int, delay: int) -> None:
-    """Reject a d (a grid's largest) whose n = d - delay + 1 reaches 2^62,
-    where the level tables stop (ValueError)."""
-    if d_max - delay + 1 >= 1 << 62:
+def _check_d(d_min: int, d_max: int, delay=None) -> None:
+    """Reject a grid (or one d) whose largest d has n = d - delay + 1 at
+    2^62 or past, where the expiration kernels' level tables stop (checked
+    only given their delay), then one whose smallest d is negative
+    (ValueError)."""
+    if delay is not None and d_max - delay + 1 >= 1 << 62:
         raise ValueError("d - delay + 1 must be below 2^62, got "
                          f"{d_max - delay + 1}")
+    if d_min < 0:
+        raise ValueError(f"d must be nonnegative, got {d_min}")
 
 
-def _over_grid(d_values, values_at, delay: int = 0) -> np.ndarray:
+def _grid(d_values, delay=None) -> np.ndarray:
+    """d_values as an int64 array, checked by _check_d; a d past int64 is a
+    ValueError too, after _check_d's, not numpy's OverflowError."""
+    try:
+        d = np.asarray(d_values, dtype=np.int64)
+    except OverflowError:
+        d = np.asarray(d_values, dtype=object)  # the Python ints, exact
+        _check_d(d.min(), d.max(), delay)
+        raise ValueError(f"d must be below 2^63, got {d.max()}") from None
+    _check_d(int(d.min(initial=0)), int(d.max(initial=0)), delay)
+    return d
+
+
+def _over_grid(d_values, values_at, delay=None) -> np.ndarray:
     """values_at(d - delay) at every d >= delay of a grid, 0 below it.
 
-    A negative d is a ValueError, and so is a value past the float range.
-    values_at gets one block's int64 d - delay at a time, so no temporary
-    spans the whole grid.
+    The grid is checked by _grid; pass the delay of an expiration kernel,
+    even 0, to hold it to the kernel's 2^62 limit too (None: no limit and
+    no delay).  A value past the float range is a ValueError.  values_at
+    gets one block's int64 d - delay at a time, so no temporary spans the
+    whole grid.
     """
-    d = np.asarray(d_values, dtype=np.int64)
-    if d.size and int(d.min()) < 0:
-        raise ValueError(f"d must be nonnegative, got {int(d.min())}")
+    d = _grid(d_values, delay)
+    delay = delay or 0
     out = np.zeros(d.shape)
     with np.errstate(over="ignore"):
         for lo in range(0, d.size, _BLOCK):
@@ -283,10 +299,8 @@ def empirical_loss_curve(params: MechanismParams, d_values,
     """empirical_loss_expiration at every d of a grid, a block at a time."""
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    d = np.asarray(d_values, dtype=np.int64)
-    _check_span(int(d.max(initial=0)), params.delay)
-    return PrivacyLossCurve(d, _over_grid(
-        d, lambda e: params.epsilon * _worst_decomposition_costs(
+    return PrivacyLossCurve(d_values, _over_grid(
+        d_values, lambda e: params.epsilon * _worst_decomposition_costs(
             e + 1, t_max, params), params.delay))
 
 
@@ -365,13 +379,10 @@ def empirical_loss_baseline(d: int, params: BaselineParams, horizon: int):
     candidate worst cases are evaluated: pass Fractions to get exact values
     (period-W increments of the linear regime are then exact).
     """
-    if d < 0:
-        raise ValueError(f"d must be nonnegative, got {d}")
     # a one-point read of the grid form; a float overflow gives inf, as
     # Python floats do
     with np.errstate(over="ignore"):
-        return _baseline_losses(params, np.array([d], dtype=np.int64),
-                                horizon).item()
+        return _baseline_losses(params, _grid([d]), horizon).item()
 
 
 def baseline_loss_curve(params: BaselineParams, d_values,

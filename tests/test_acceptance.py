@@ -20,7 +20,7 @@ import pytest
 from fadecount.calibration import (analytic_mse_expiration, calibrate_baseline,
                                    calibrate_epsilon, error_bound_expiration,
                                    optimal_ratio)
-from fadecount.dyadic import decompose, floor_log2, intersect
+from fadecount.dyadic import DyadicInterval, decompose, floor_log2
 from fadecount.mechanisms import (ExpirationCounter, MechanismParams,
                                   BaselineParams, SeededNoise,
                                   expiration_max_and_mse_batch,
@@ -160,13 +160,14 @@ def test_criterion_04_coupling_suite():
 def test_criterion_05_dyadic_oracles():
     with criterion(5, "dyadic facts, exhaustive") as info:
         t0 = time.perf_counter()
-        # every point t <= 2^14: one containing interval per level
+        # every point t <= 2^14: one containing interval per level up to
+        # floor_log2(t), the key DyadicInterval(l, t >> l) the counter draws,
+        # and none above it
         for t in range(1, (1 << 14) + 1):
-            ivs = intersect(t)
             L = floor_log2(t)
-            assert len(ivs) == L + 1
-            for lvl, iv in enumerate(ivs):
-                assert iv.level == lvl and iv.index == t >> lvl
+            assert t >> (L + 1) == 0
+            for lvl in range(L + 1):
+                iv = DyadicInterval(lvl, t >> lvl)
                 assert iv.index >= 1 and iv.start <= t <= iv.end
         # every range 1 <= a <= b <= 512: decomposition is an exact disjoint
         # in-order cover, <= 2 intervals per level, levels bounded

@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 import warnings
@@ -13,8 +14,7 @@ from fadecount.dyadic import decompose, floor_log2
 from fadecount.mechanisms import (DOMAIN_INTERVAL, BaselineCounter,
                                   BaselineParams, ExpirationCounter,
                                   MechanismParams, RecordingNoise,
-                                  ReplayNoise, SeededNoise, SimpleCounter,
-                                  ZeroNoise)
+                                  ReplayNoise, SeededNoise, SimpleCounter)
 from fadecount import privacy_audit
 from fadecount.privacy_audit import (CouplingReport, PrivacyLossCurve,
                                      _worst_decomposition_costs,
@@ -278,10 +278,40 @@ class TestGridDriver:
         lambda ds: empirical_loss_expiration(ds[0], MechanismParams(1.0), 10),
         lambda ds: empirical_loss_baseline(ds[0], BaselineParams(8, 1.0, 0.1),
                                            10),
-        lambda ds: simple_loss_curve(MechanismParams(1.0), ds, 10)])
+        lambda ds: simple_loss_curve(MechanismParams(1.0), ds, 10),
+        lambda ds: exact_loss_bound(ds[0], MechanismParams(0.8)),
+        lambda ds: closed_form_loss_bound(ds[0], MechanismParams(0.8)),
+        lambda ds: published_loss_bound(ds[0], MechanismParams(0.8))])
     def test_negative_d_is_an_error(self, call):
         with pytest.raises(ValueError, match="d must be nonnegative, got -3"):
             call([-3, 0, 1])
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda d: empirical_loss_expiration(d, MechanismParams(1.0, 1.0, 4),
+                                             10), "span"),
+        (lambda d: empirical_loss_curve(MechanismParams(1.0, 1.0, 4), [0, d],
+                                        10), "span"),
+        (lambda d: published_loss_bounds(MechanismParams(1.0, 1.0, 4), [0, d]),
+         "span"),
+        (lambda d: empirical_loss_baseline(d, BaselineParams(8, 1.0, 0.1), 10),
+         "int64"),
+        (lambda d: baseline_loss_curve(BaselineParams(8, 1.0, 0.1), [0, d],
+                                       10), "int64"),
+        (lambda d: simple_loss_curve(MechanismParams(1.0), [0, d], 10),
+         "int64")])
+    def test_d_past_int64_is_an_error(self, call, message):
+        # the expiration entries name their 2^62 limit, the others int64's,
+        # and neither is numpy's OverflowError
+        message = {"span": r"^d - delay \+ 1 must be below 2\^62, got "
+                           f"{2**63 - 3}$",
+                   "int64": rf"^d must be below 2\^63, got {2**63}$"}[message]
+        with pytest.raises(ValueError, match=message):
+            call(2**63)
+
+    def test_negative_d_past_int64_is_an_error(self):
+        with pytest.raises(ValueError, match=r"^d must be nonnegative, got "
+                           f"{-2**63 - 1}$"):
+            simple_loss_curve(MechanismParams(1.0), [5, -2**63 - 1], 10)
 
     @pytest.mark.parametrize("call,d", [
         (lambda ds: empirical_loss_curve(MechanismParams(1e308, 3.0), ds, 9),
@@ -719,7 +749,7 @@ class TestCouplingIncidence:
         sums = [run.step(0) for _ in range(T)]
         budgets = {}
         for j in range(1, T + 1):
-            run = counter(params, ZeroNoise())
+            run = counter(params, ReplayNoise(collections.defaultdict(int)))
             includes = [run.step(int(t == j)) for t in range(1, T + 1)]
             for tau in range(j, T + 1):
                 rule = counter.coupling_keys(params, j, tau)

@@ -1,10 +1,10 @@
 """Every package name the bench looks up still resolves.
 
 bench/spans.py patches the functions in its TARGETS by name, and reads
-ExpirationCounter's step, active_noise_count and buffer_len; bench/checks.py
-and bench/workloads.py import package names and read attributes off the
-package modules they import.  A deleted or renamed name would break the
-bench only when it runs; here it fails the tests.
+ExpirationCounter's step, active_noise_count, buffer_len and redraws;
+bench/checks.py and bench/workloads.py import package names and read
+attributes off the package modules they import.  A deleted or renamed
+name would break the bench only when it runs; here it fails the tests.
 """
 
 import ast
@@ -51,7 +51,7 @@ def _imported_names(filename):
 NAMES = sorted(set(
     _span_targets()
     + [("fadecount.mechanisms:ExpirationCounter", attr)
-       for attr in ("step", "active_noise_count", "buffer_len")]
+       for attr in ("step", "active_noise_count", "buffer_len", "redraws")]
     + _imported_names("checks.py") + _imported_names("workloads.py")),
     key=str)
 

@@ -181,7 +181,7 @@ class TestCalibrateBaseline:
             params = BaselineParams(w, cal.eps_cur, cal.eps_past)
             assert analytic_mse_baseline(params, T) == \
                 pytest.approx(1000.0, rel=1e-9)
-            assert cal.ratio == pytest.approx(ratio)
+            assert cal.eps_past / cal.eps_cur == pytest.approx(ratio)
 
     def test_published_values(self):
         expect = {(10**3, 31): 0.5678, (10**3, 63): 0.6372,
@@ -214,7 +214,7 @@ class TestOptimalRatio:
     def test_interior_and_consistent(self):
         rho, cal = optimal_ratio(1000.0, 10**3, 31)
         assert 1e-5 < rho < 0.999
-        assert cal.ratio == pytest.approx(rho, rel=1e-6)
+        assert cal.eps_past / cal.eps_cur == pytest.approx(rho, rel=1e-6)
         params = BaselineParams(31, cal.eps_cur, cal.eps_past)
         assert analytic_mse_baseline(params, 10**3) == \
             pytest.approx(1000.0, rel=1e-9)

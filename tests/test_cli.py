@@ -632,6 +632,10 @@ class TestUsageErrors:
         (["audit", "--epsilon", "1", "--d-max", "9223372036854775807",
           "--output", "{out}"],
          "--d-max must be in [0, 2^62), got 9223372036854775807"),
+        # a grid numpy refuses before it allocates anything (2^65 bytes)
+        (["audit", "--epsilon", "1", "--d-max", "4611686018427387903",
+          "--output", "{out}"], "--d-max 4611686018427387903 is too long: "
+         "numpy cannot allocate the grid"),
         (["figures", "2a", "--d-max", "4611686018427387904",
           "--output", "{out}"],
          "--d-max must be in [0, 2^62), got 4611686018427387904"),

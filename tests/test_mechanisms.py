@@ -1,3 +1,4 @@
+import collections
 import math
 import re
 import tracemalloc
@@ -19,13 +20,20 @@ from fadecount.mechanisms import (DOMAIN_INTERVAL, DOMAIN_PAST, DOMAIN_STEP,
                                   SeededNoise, SimpleCounter,
                                   expiration_max_and_mse_batch,
                                   expiration_noise_totals, lagged_releases,
-                                  run_expiration, run_simple)
+                                  run_expiration)
 from fadecount.noise import keyed_noise, prf_uniform, prf_uniform_array
 from fadecount.privacy_audit import published_loss_bound
 from noise_oracles import WalkBaselineCounter, gather_noise_totals
 
 streams = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1,
                    max_size=120)
+
+
+def simple_releases(params, xs, seed):
+    """SimpleCounter's releases over the whole stream xs, as one block of
+    lagged_releases (none for an empty stream)."""
+    return next(lagged_releases(SimpleCounter, params, xs, seed,
+                                max(1, len(xs))), np.zeros(0))
 
 
 def noise_range(params, first, last, seed):
@@ -202,7 +210,7 @@ class TestInputValidation:
                                   f"{bad!r}") + "$"
         with pytest.raises(ValueError, match=message):
             ExpirationCounter(params, SeededNoise(1)).step(bad)
-        for run in (run_expiration, run_simple):
+        for run in (run_expiration, simple_releases):
             with pytest.raises(ValueError, match=message):
                 run(params, xs, 1)
         for name, family in cli.MECHANISMS.items():
@@ -215,7 +223,7 @@ class TestInputValidation:
         # a stream too short to draw anything still rejects a seed that
         # SeededNoise rejects
         params, xs = MechanismParams(0.8, 1.0, 3), np.zeros(length)
-        for run in (run_expiration, run_simple):
+        for run in (run_expiration, simple_releases):
             for seed in (-1, 2**64, 2**70):
                 with pytest.raises(ValueError, match=r"^seed must be in "
                                    rf"\[0, 2\^64\), got {seed}$"):
@@ -257,7 +265,7 @@ class TestSimpleCounter:
         c = SimpleCounter(params, SeededNoise(seed))
         scalar = np.array([float(c.step(x)) for x in xs])
         with mock.patch.object(mechanisms, "_CHUNK", chunk):
-            vec = run_simple(params, np.array(xs), seed)
+            vec = simple_releases(params, np.array(xs), seed)
             blocks = list(lagged_releases(SimpleCounter, params,
                                           np.array(xs), seed, block))
         assert np.array_equal(scalar, vec)
@@ -294,11 +302,15 @@ class TestExpirationCounter:
     @given(streams, st.integers(0, 3), st.sampled_from([0.0, 1.0, 2.5]))
     @settings(max_examples=50)
     def test_zero_noise_gives_exact_delayed_prefix(self, xs, delay, lam):
-        from fadecount.mechanisms import ZeroNoise
-        c = ExpirationCounter(MechanismParams(1.0, lam, delay), ZeroNoise())
-        outs = [c.step(x) for x in xs]
-        for t, out in enumerate(outs, start=1):
-            assert out == sum(xs[:max(0, t - delay)])
+        # every draw an exact 0: both lagged counters release the prefix
+        # through t - lag exactly
+        params = MechanismParams(1.0, lam, delay)
+        for counter in (ExpirationCounter, SimpleCounter):
+            c = counter(params, ReplayNoise(collections.defaultdict(int)))
+            lag = counter.lag(params)
+            outs = [c.step(x) for x in xs]
+            for t, out in enumerate(outs, start=1):
+                assert out == sum(xs[:max(0, t - lag)])
 
     def test_state_bounds_and_redraw_count(self):
         T = 4096
@@ -400,8 +412,8 @@ class TestBaselineCounter:
                 baseline_reference_step(params, seed, xs, t), rel=1e-12)
 
     def test_round_one_has_no_past_term(self):
-        from fadecount.mechanisms import ZeroNoise
-        c = BaselineCounter(BaselineParams(4, 1.0, 0.1), ZeroNoise())
+        c = BaselineCounter(BaselineParams(4, 1.0, 0.1),
+                            ReplayNoise(collections.defaultdict(int)))
         outs = [c.step(1.0) for _ in range(12)]
         assert outs == list(range(1, 13))  # exact prefix with zero noise
 
@@ -603,13 +615,13 @@ class TestVectorizedRunners:
             tracemalloc.stop()
         assert peak < 8 * (positions + 1) + (2 << 20)
 
-    def test_run_simple_memory_is_two_arrays(self):
+    def test_whole_stream_simple_memory_is_two_arrays(self):
         # the releases and their noise totals, plus about one chunk of scratch
         steps = 1 << 18
         xs = np.full(steps, 0.5)
         tracemalloc.start()
         try:
-            run_simple(MechanismParams(0.8), xs, 4)
+            simple_releases(MechanismParams(0.8), xs, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -633,7 +645,7 @@ class TestVectorizedRunners:
             lambda seed: noise_range(params, 5, 9, seed),
             lambda seed: expiration_max_and_mse_batch(params, 100, [3, seed]),
             lambda seed: run_expiration(params, xs, seed),
-            lambda seed: run_simple(params, xs, seed),
+            lambda seed: simple_releases(params, xs, seed),
             lambda seed: prf_uniform_array(seed, (DOMAIN_STEP,), idx),
             lambda seed: prf_uniform(seed, (DOMAIN_STEP, 1)),
         ]
@@ -644,7 +656,7 @@ class TestVectorizedRunners:
                     lane(seed)
         top = 2**64 - 1
         for make, run in ((ExpirationCounter, run_expiration),
-                          (SimpleCounter, run_simple)):
+                          (SimpleCounter, simple_releases)):
             c = make(params, SeededNoise(top))
             assert np.array_equal(run(params, xs, top),
                                   [c.step(0.0) for _ in xs])
