@@ -28,9 +28,9 @@ import sys
 import numpy as np
 
 from .calibration import calibrate_baseline, calibrate_epsilon, optimal_ratio
-from .mechanisms import (BaselineCounter, BaselineParams, ExpirationCounter,
-                         MechanismParams, SeededNoise, SimpleCounter,
-                         lagged_releases, running_sums)
+from .mechanisms import (BaselineParams, ExpirationCounter, MechanismParams,
+                         SimpleCounter, baseline_releases, lagged_releases,
+                         running_sums)
 from .privacy_audit import (baseline_loss_curve, empirical_loss_curve,
                             published_loss_bounds, simple_loss_curve)
 # bench/spans.py traces published_loss_bound under this module's name
@@ -274,12 +274,6 @@ def _baseline_params(given, mse, horizon):
     return BaselineParams(window, cal.eps_cur, cal.eps_past), cal, ratio
 
 
-def _baseline_releases(params, xs, seed, block):
-    step = BaselineCounter(params, SeededNoise(seed)).step
-    for lo in range(0, len(xs), block):
-        yield np.fromiter(map(step, xs[lo:lo + block].tolist()), float)
-
-
 # What --mechanism chooses: the flags a family reads (argparse dests), and
 # with --mse the flags its calibration reads in place of the budgets (None:
 # no --mse); params(given, mse, horizon) -> (params, calibration, ratio);
@@ -305,7 +299,7 @@ MECHANISMS = {
     "expiration": _EXPIRATION,
     "baseline": _Family(
         {"window", "eps_cur", "eps_past"}, {"ratio", "optimal_ratio"},
-        _baseline_params, _baseline_releases,
+        _baseline_params, baseline_releases,
         lambda *a: baseline_loss_curve(*a), None),
 }
 

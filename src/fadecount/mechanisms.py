@@ -25,6 +25,10 @@ O(delay + log t), and noise upkeep is amortized O(1) per step (expiration
 level l is redrawn every 2^l steps; the baseline draws one tree node per step
 plus one past draw per round).
 
+Each counter also has a numpy runner that yields its releases a block of
+steps at a time, bit for bit equal to step: lagged_releases for the first
+two, baseline_releases for the baseline.  `fadecount run` uses them.
+
 Counters are deliberately generic over the numeric type of the inputs and of
 the noise values handed to them: run them with floats for production, or
 with exact rationals (``fractions.Fraction``) when replaying a run whose
@@ -43,8 +47,9 @@ from itertools import accumulate
 import numpy as np
 
 from .dyadic import decompose, floor_log2
-from .noise import (_MASK64, _check_seed, _laplace_inplace, _prf_key_offset,
-                    _prf_uniform_inplace, keyed_noise)
+from .noise import (_GOLDEN, _MASK64, _check_seed, _laplace_inplace,
+                    _mix64_inplace, _prf_key_offset, _prf_uniform_inplace,
+                    keyed_noise)
 # bench/spans.py traces these two under this module's name
 from .noise import laplace_sample_array, prf_uniform_array  # noqa: F401
 
@@ -403,11 +408,13 @@ class BaselineCounter:
 # ---------------------------------------------------------------------------
 # vectorized runners (single stream / Monte Carlo batches)
 #
-# These produce exactly the same numbers as _LaggedCounter.step — the
-# schedule, the noise keys, the PRF lane and the summation order are shared
-# — but evaluate streams with numpy.  The noise kernel takes a schedule and
-# any range of positions, so lagged_releases draws one block of rows at a
-# time for `fadecount run`, and the whole stream at once for run_expiration.
+# These produce exactly the same numbers as the counters' step — the noise
+# keys, the PRF lane and the summation order are shared — but evaluate
+# streams with numpy.  The noise kernel takes a schedule and any range of
+# positions, so lagged_releases draws one block of rows at a time for
+# `fadecount run`, and the whole stream at once for run_expiration.
+# baseline_releases draws a block's rounds and tree nodes the same way, and
+# carries step's round state from one block to the next.
 
 
 # draws per pass of the noise-total kernel: its scratch is three arrays of
@@ -514,6 +521,23 @@ def running_sums(xs: np.ndarray, carry, out: np.ndarray):
     return np.cumsum(out, out=out)[-1]
 
 
+def _check_stream(xs: np.ndarray, seed: int) -> None:
+    """Reject a seed outside [0, 2^64) or a value of xs outside [0,1], by
+    step's messages (ValueError)."""
+    _check_seed(seed)
+    if len(xs) and not (xs.min() >= 0 and xs.max() <= 1):  # NaN fails too
+        _check_input(float(xs[~((xs >= 0) & (xs <= 1))][0]))
+
+
+def _laplace_of_keys(keys: np.ndarray, scale: float) -> np.ndarray:
+    """Lap(scale) draws of uint64 keys (index + key offset), as keyed_noise
+    draws them; `keys` is overwritten."""
+    z = np.empty(len(keys))
+    _laplace_inplace(_prf_uniform_inplace(keys, np.empty_like(keys)), z,
+                     ((..., scale),))
+    return z
+
+
 def lagged_releases(counter, params, xs: np.ndarray, seed: int, block: int):
     """Releases of a _LaggedCounter class (SimpleCounter, ExpirationCounter)
     over the stream xs, bit for bit, one array per `block` steps: 0 up to
@@ -521,9 +545,7 @@ def lagged_releases(counter, params, xs: np.ndarray, seed: int, block: int):
     position's noise.  A block draws only its positions' noise.  A seed
     outside [0, 2^64) or a value of xs outside [0,1] is a ValueError, as in
     step, raised before the first block."""
-    _check_seed(seed)
-    if len(xs) and not (xs.min() >= 0 and xs.max() <= 1):  # NaN fails too
-        _check_input(float(xs[~((xs >= 0) & (xs <= 1))][0]))
+    _check_stream(xs, seed)
     lag, schedule = counter.lag(params), counter.schedule(params)
     prefix = 0.0
     for lo in range(0, len(xs), block):
@@ -536,6 +558,96 @@ def lagged_releases(counter, params, xs: np.ndarray, seed: int, block: int):
             released = out[first + lag - 1 - lo:]
             prefix = running_sums(xs[first - 1:last], prefix, released)
             released += noise
+        yield out
+
+
+def baseline_releases(params: BaselineParams, xs: np.ndarray, seed: int,
+                      block: int):
+    """Releases of BaselineCounter over the stream xs, bit for bit, one
+    array per `block` steps, checked as lagged_releases checks.
+
+    A block carries step's state across the block boundary: the total
+    prefix, the in-round sum and the past estimate c_r.  Within it, numpy
+    passes build step's (c_r + R_s) + node_{k-1} + ... + node_0 for every
+    step at once: the in-round sums R_s restart at each round start; each
+    round begun in the block draws z_r, c_r being the prefix before it plus
+    z_r (0 in round 1); and each step draws the one node its position
+    completes, (nu2(s), s >> nu2(s)), plus one node per level for the
+    block's first round, the node live at the block's start.  The level-l
+    node of a step whose bit l of s is set is the one completed at s with
+    its low l bits cleared, or that carried node if that is before the
+    block.  No array is larger than the block, and none is sized by W.
+    """
+    _check_stream(xs, seed)
+    w = params.window
+    tree_offset = _prf_key_offset(seed, (DOMAIN_TREE,))
+    past_offset = _prf_key_offset(seed, (DOMAIN_PAST,))
+    prefix = in_round = past = 0.0
+    for lo in range(0, len(xs), block):
+        x = xs[lo:lo + block]
+        n, first = len(x), lo % w            # first: steps of the round before
+        i = np.arange(n)
+        rl = (i + first) // w                # round of each step, from 0
+        s = i + first - rl * w + 1           # its position in the round
+        totals = np.empty(n + 1)             # total prefix before each step
+        totals[0] = prefix
+        prefix = running_sums(x, prefix, totals[1:])
+        # in-round sums: the round begun before the block carries in_round,
+        # whole rounds are rows of a (rounds, W) view, the last starts here.
+        # step starts each from 0, so a sum may differ in the sign of a zero,
+        # which never shows: every release adds c_r, never -0.0, to it
+        out = np.empty(n)
+        head = min(n, -first % w)
+        whole = head + (n - head) // w * w
+        if head:
+            running_sums(x[:head], in_round, out[:head])
+        if whole > head:
+            np.cumsum(x[head:whole].reshape(-1, w), axis=1,
+                      out=out[head:whole].reshape(-1, w))
+        if whole < n:
+            np.cumsum(x[whole:], out=out[whole:])
+        in_round = out[-1]
+        # c_r of each round of the block: carried into it, 0 in round 1, or
+        # drawn for each round r >= 2 that begins in it
+        rounds = np.arange(lo // w + 1, lo // w + 2 + rl[-1], dtype=np.uint64)
+        c = np.full(len(rounds), past)
+        begun = np.arange(1 if first or not lo else 0, len(c))
+        if len(begun):
+            keys = rounds[begun] + np.uint64(past_offset)
+            c[begun] = totals[begun * w - first] + _laplace_of_keys(
+                keys, 1.0 / params.eps_past)
+        past = c[-1]
+        np.add(c[rl], out, out=out)
+        # key offsets of (DOMAIN_TREE, r, l): the fold over r for every round
+        # of the block, then over l for every level its positions reach
+        levels = min(w, first + n).bit_length()
+        h = rounds + np.uint64(tree_offset)
+        _mix64_inplace(h, np.empty_like(h))
+        offsets = h + (np.arange(levels, dtype=np.uint64)
+                       + np.uint64(_GOLDEN))[:, None]
+        _mix64_inplace(offsets, np.empty_like(offsets))
+        offsets += np.uint64(_GOLDEN)
+        low = np.frexp(s & -s)[1] - 1        # nu2(s), exact: s & -s is 2^nu2
+        keys = np.empty(levels + n, dtype=np.uint64)
+        keys[:levels] = first >> np.arange(levels)
+        keys[:levels] += offsets[:, 0]
+        keys[levels:] = s >> low
+        keys[levels:] += offsets[low, rl]
+        z = _laplace_of_keys(keys, params.tree_depth / params.eps_cur)
+        carried, z = z[:levels].tolist(), z[levels - 1:]
+        # step i's level-l node is z[1 + i - s + (s >> l << l)], its round's
+        # level-l node carried into the block at index 0 or below
+        start = i - s + 1
+        at = np.empty(n, dtype=np.int64)
+        node = np.empty(n)
+        bit = np.empty(n, dtype=bool)
+        for lvl in range(levels - 1, -1, -1):
+            np.bitwise_and(s, 1 << lvl, out=bit, casting="unsafe")
+            np.bitwise_and(s, -1 << lvl, out=at)
+            at += start
+            z[0] = carried[lvl]
+            z.take(at, out=node, mode="clip")
+            np.add(out, node, out=out, where=bit)
         yield out
 
 

@@ -82,6 +82,20 @@ def _prf_key_offset(seed: int, prefix) -> int:
     return (h + _GOLDEN) & _MASK64
 
 
+def _mix64_inplace(h: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """_mix64 after its golden-ratio increment, in place on uint64 h: on
+    _prf_key_offset(seed, prefix) + p it gives the PRF state after the
+    parts prefix + (p,).  `scratch` is a uint64 array of h's shape; it is
+    overwritten.  Returns h."""
+    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+        np.right_shift(h, np.uint64(shift), out=scratch)
+        h ^= scratch
+        h *= np.uint64(mult)
+    np.right_shift(h, np.uint64(31), out=scratch)
+    h ^= scratch
+    return h
+
+
 def _prf_uniform_inplace(h: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Finish the PRF in place on uint64 keys (index + key offset).
 
@@ -89,12 +103,7 @@ def _prf_uniform_inplace(h: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     into the double (m + 0.5) * 2^-52.  `scratch` is a uint64 array of h's
     shape; it is overwritten.  Returns h viewed as float64.
     """
-    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
-        np.right_shift(h, np.uint64(shift), out=scratch)
-        h ^= scratch
-        h *= np.uint64(mult)
-    np.right_shift(h, np.uint64(31), out=scratch)
-    h ^= scratch
+    _mix64_inplace(h, scratch)
     h >>= np.uint64(12)
     h |= _ONE_BITS
     u = h.view(np.float64)

@@ -73,7 +73,7 @@ class PrivacyLossCurve:
     loss: np.ndarray
 
     def __post_init__(self):
-        self.d = np.asarray(self.d, dtype=np.int64)
+        self.d = _grid(self.d)
         self.loss = np.asarray(self.loss, dtype=np.float64)
         if self.d.shape != self.loss.shape or self.d.ndim != 1:
             raise ValueError("d and loss must be 1-d arrays of equal length")
@@ -191,6 +191,8 @@ def _check_d(d_min: int, d_max: int, delay=None) -> None:
 def _grid(d_values, delay=None) -> np.ndarray:
     """d_values as an int64 array, checked by _check_d; a d past int64 is a
     ValueError too, after _check_d's, not numpy's OverflowError."""
+    if np.asarray(d_values).dtype.kind == "u":  # a cast wraps from 2^63
+        d_values = np.asarray(d_values, dtype=object)
     try:
         d = np.asarray(d_values, dtype=np.int64)
     except OverflowError:

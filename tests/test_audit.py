@@ -65,6 +65,17 @@ class TestPrivacyLossCurve:
         with pytest.raises(ValueError, match="finite, got inf at d=2$"):
             PrivacyLossCurve([0, 2, 3], [1.0, math.inf, math.inf])
 
+    @pytest.mark.parametrize("d,message", [
+        ([2**63], rf"d must be below 2\^63, got {2**63}"),
+        (np.array([1, 2**63], dtype=np.uint64),
+         rf"d must be below 2\^63, got {2**63}"),
+        ([-1, 0], "d must be nonnegative, got -1")])
+    def test_d_is_checked_as_every_grid(self, d, message):
+        # the constructor reads d as the loss functions' grids: the limit
+        # named, never numpy's OverflowError
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PrivacyLossCurve(d, [0.0] * len(d))
+
 
 class TestExactLossBound:
     def test_uniform_exponent_values(self):
@@ -307,6 +318,21 @@ class TestGridDriver:
                    "int64": rf"^d must be below 2\^63, got {2**63}$"}[message]
         with pytest.raises(ValueError, match=message):
             call(2**63)
+
+    @pytest.mark.parametrize("curve", [
+        lambda ds: simple_loss_curve(MechanismParams(1.0), ds, 10),
+        lambda ds: baseline_loss_curve(BaselineParams(8, 1.0, 0.1), ds, 10)])
+    def test_uint64_grid_is_read_by_value(self, curve):
+        # a uint64 d at 2^63 or past gets int64's limit, not a wrapped
+        # negative d; below it, the grid is the int64 grid
+        for top in (2**63, 2**64 - 1):
+            with pytest.raises(ValueError, match=r"^d must be below 2\^63, "
+                               f"got {top}$"):
+                curve(np.array([0, top], dtype=np.uint64))
+        ds = [0, 5, 2**62]
+        got = curve(np.array(ds, dtype=np.uint64))
+        assert got.d.dtype == np.int64
+        assert got.loss.tolist() == curve(ds).loss.tolist()
 
     def test_negative_d_past_int64_is_an_error(self):
         with pytest.raises(ValueError, match=r"^d must be nonnegative, got "

@@ -255,8 +255,8 @@ def _bernoulli_stream(t_max, seed):
 
 
 class TestRunBlocks:
-    """`run` writes blocks of rows from the vectorized kernels (the baseline
-    steps its counter); the per-row step loop it replaced is the oracle."""
+    """`run` writes blocks of rows from the vectorized kernels; the per-row
+    step loop it replaced is the oracle."""
 
     @given(st.sampled_from(sorted(_RUN_MECHANISMS)),
            st.sampled_from([0, 1, 16]),
@@ -289,6 +289,20 @@ class TestRunBlocks:
         got, want = _run_and_oracle(str(tmp_path), mech, delay, "generator",
                                     xs, 5)
         assert got == want
+
+    @pytest.mark.parametrize("window", [3, 1000, 1023, 1025])
+    def test_baseline_windows_equal_step_loop(self, tmp_path, window):
+        # windows that do not divide the block, over several blocks
+        xs = _bernoulli_stream(3 * cli._CSV_BLOCK + 7, 6)
+        out = tmp_path / "run.csv"
+        assert main(["run", "--mechanism", "baseline", "--window", str(window),
+                     "--eps-cur", "0.6", "--eps-past", "0.06", "--seed", "6",
+                     "--generator", "bernoulli(0.4)", "--t-max", str(len(xs)),
+                     "--output", str(out)]) == 0
+        want = io.StringIO()
+        step_loop_run(want, BaselineCounter(BaselineParams(window, 0.6, 0.06),
+                                            SeededNoise(6)), xs)
+        assert out.read_bytes() == want.getvalue().encode()
 
     def test_float_input_file_equals_step_loop(self, tmp_path):
         xs = np.random.default_rng(8).random(4097).tolist()

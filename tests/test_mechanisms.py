@@ -18,6 +18,7 @@ from fadecount.mechanisms import (DOMAIN_INTERVAL, DOMAIN_PAST, DOMAIN_STEP,
                                   ExpirationCounter, MechanismParams,
                                   RecordingNoise, ReplayNoise,
                                   SeededNoise, SimpleCounter,
+                                  baseline_releases,
                                   expiration_max_and_mse_batch,
                                   expiration_noise_totals, lagged_releases,
                                   run_expiration)
@@ -496,6 +497,105 @@ class TestBaselineCounter:
         b = BaselineCounter(params, SeededNoise(5))
         for _ in range(40):
             assert a.step(1.0) == b.step(1.0)
+
+
+def baseline_steps(params, xs, seed):
+    """BaselineCounter.step over the stream xs, as a float64 array."""
+    c = BaselineCounter(params, SeededNoise(seed))
+    return np.array([c.step(x) for x in xs.tolist()], dtype=np.float64)
+
+
+def baseline_blocks(params, xs, seed, block):
+    """baseline_releases' blocks, each but the last `block` long, joined."""
+    blocks = list(baseline_releases(params, xs, seed, block))
+    assert [len(b) for b in blocks] == [
+        min(block, len(xs) - lo) for lo in range(0, len(xs), block)]
+    return np.concatenate([np.zeros(0), *blocks])
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestBaselineReleases:
+    """baseline_releases against its oracle, BaselineCounter.step, bit for
+    bit."""
+
+    @given(st.sampled_from(list(range(1, 71))
+                           + [1023, 1024, 1025, 2**20 - 1, 2**40]),
+           st.integers(1, 130),
+           st.one_of(st.sampled_from([0, 2**64 - 1]),
+                     st.integers(0, 2**64 - 1)),
+           st.integers(0, 2**32), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_equal_step(self, window, block, seed, stream_seed, data):
+        # a stream of several blocks, and of several rounds where the window
+        # allows; rounds start on -0.0, 0.0 or 1.0, other values are
+        # non-dyadic
+        n = data.draw(st.integers(0, 4 * max(min(window, 100), block)))
+        xs = np.random.default_rng(stream_seed).random(n)
+        xs[::window] = data.draw(st.lists(
+            st.sampled_from([-0.0, 0.0, 1.0]), min_size=len(xs[::window]),
+            max_size=len(xs[::window])))
+        params = BaselineParams(window, 0.7, 0.07)
+        assert same_bits(baseline_blocks(params, xs, seed, block),
+                         baseline_steps(params, xs, seed))
+
+    @pytest.mark.parametrize("window", [1023, 1024, 1025])
+    def test_long_windows_over_several_rounds(self, window):
+        xs = np.random.default_rng(window).random(3 * window + 7)
+        xs[::window] = -0.0
+        params = BaselineParams(window, 0.7, 0.07)
+        want = baseline_steps(params, xs, 11)
+        for block in (1, 130, 1024):
+            assert same_bits(baseline_blocks(params, xs, 11, block), want)
+
+    def test_float32_stream_equals_step(self):
+        # step turns each value into a Python float; the block sums are
+        # float64 sums of the same values
+        xs = np.random.default_rng(8).random(2000).astype(np.float32)
+        for window in (1, 7, 5000):
+            params = BaselineParams(window, 0.5, 0.05)
+            assert same_bits(baseline_blocks(params, xs, 3, 100),
+                             baseline_steps(params, xs, 3))
+
+    @pytest.mark.parametrize("length", [0, 1, 100])
+    def test_bad_seed_raises_before_the_first_block(self, length):
+        params = BaselineParams(7, 0.7, 0.07)
+        for seed in (-1, 2**64):
+            blocks = baseline_releases(params, np.zeros(length), seed, 4)
+            with pytest.raises(ValueError, match=r"^seed must be in "
+                               rf"\[0, 2\^64\), got {seed}$"):
+                next(blocks)
+        assert len(baseline_blocks(params, np.zeros(length), 2**64 - 1,
+                                   4)) == length
+
+    @pytest.mark.parametrize("bad", [-0.5, 1 + 2**-52, math.nan])
+    def test_bad_value_raises_before_the_first_block(self, bad):
+        # in the stream's last block, found before its first is released
+        xs = np.full(100, 0.5)
+        xs[-1] = bad
+        blocks = baseline_releases(BaselineParams(7, 0.7, 0.07), xs, 3, 4)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"stream values must lie in [0,1], got {bad!r}") + "$"):
+            next(blocks)
+
+    def test_memory_is_one_block_plus_the_output(self):
+        # at W 2^40 no array is sized by W: the output plus about fifteen
+        # block-sized arrays when measured
+        steps, block = 1 << 14, 1 << 10
+        params, xs = BaselineParams(2**40, 0.7, 0.07), np.full(steps, 0.5)
+        list(baseline_releases(params, xs[:block], 5, block))  # first call
+        tracemalloc.start()
+        try:
+            list(baseline_releases(params, xs, 5, block))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * steps + 24 * 8 * block
+
+    def test_run_uses_it(self):
+        assert cli.MECHANISMS["baseline"].releases is baseline_releases
 
 
 class TestVectorizedRunners:
