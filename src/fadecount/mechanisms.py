@@ -47,11 +47,8 @@ from itertools import accumulate
 import numpy as np
 
 from .dyadic import decompose, floor_log2
-from .noise import (_GOLDEN, _MASK64, _check_seed, _laplace_inplace,
-                    _mix64_inplace, _prf_key_offset, _prf_uniform_inplace,
-                    keyed_noise)
-# bench/spans.py traces these two under this module's name
-from .noise import laplace_sample_array, prf_uniform_array  # noqa: F401
+from .noise import (_MASK64, _check_seed, _key_offsets, _keyed_laplace_into,
+                    keyed_noise, laplace_sample_array, prf_uniform_array)
 
 # key domains, so draws of different kinds can never collide
 DOMAIN_INTERVAL = 1   # (DOMAIN_INTERVAL, level, index)         interval noise
@@ -470,16 +467,16 @@ def _add_noise_totals(total: np.ndarray, schedule, first: int,
     ramp = np.arange(scratch, dtype=np.uint64)
     keys = np.empty(scratch, dtype=np.uint64)
     z = np.empty(scratch)
-    offsets = [_prf_key_offset(seed, key) for key, _scale in levels]
+    offsets = [_key_offsets(seed, key) for key, _scale in levels]
     for segments in _draw_chunks(first, last, len(levels)):
         _lvl, _k, at, count = segments[-1]
         n = at + count
         for lvl, k, at, count in segments:
             np.add(ramp[:count], np.uint64((offsets[lvl] + k) & _MASK64),
                    out=keys[at:at + count])
-        u = _prf_uniform_inplace(keys[:n], z[:n].view(np.uint64))
-        _laplace_inplace(u, z[:n], [(slice(at, at + count), levels[lvl][1])
-                                    for lvl, _k, at, count in segments])
+        _keyed_laplace_into(keys[:n], z[:n],
+                            [(slice(at, at + count), levels[lvl][1])
+                             for lvl, _k, at, count in segments])
         for lvl, k, at, count in segments:
             width = 1 << lvl
             start = (k << lvl) - first      # where draw k begins in total
@@ -521,31 +518,25 @@ def running_sums(xs: np.ndarray, carry, out: np.ndarray):
     return np.cumsum(out, out=out)[-1]
 
 
-def _check_stream(xs: np.ndarray, seed: int) -> None:
-    """Reject a seed outside [0, 2^64) or a value of xs outside [0,1], by
-    step's messages (ValueError)."""
+def _check_stream(xs: np.ndarray, seed: int, block: int) -> None:
+    """Reject a block size below 1, then a seed outside [0, 2^64) or a value
+    of xs outside [0,1], by step's messages (ValueError)."""
+    if block < 1:
+        raise ValueError(f"block must be a positive integer, got {block}")
     _check_seed(seed)
     if len(xs) and not (xs.min() >= 0 and xs.max() <= 1):  # NaN fails too
         _check_input(float(xs[~((xs >= 0) & (xs <= 1))][0]))
-
-
-def _laplace_of_keys(keys: np.ndarray, scale: float) -> np.ndarray:
-    """Lap(scale) draws of uint64 keys (index + key offset), as keyed_noise
-    draws them; `keys` is overwritten."""
-    z = np.empty(len(keys))
-    _laplace_inplace(_prf_uniform_inplace(keys, np.empty_like(keys)), z,
-                     ((..., scale),))
-    return z
 
 
 def lagged_releases(counter, params, xs: np.ndarray, seed: int, block: int):
     """Releases of a _LaggedCounter class (SimpleCounter, ExpirationCounter)
     over the stream xs, bit for bit, one array per `block` steps: 0 up to
     step lag, then at step t the prefix through position t - lag plus that
-    position's noise.  A block draws only its positions' noise.  A seed
-    outside [0, 2^64) or a value of xs outside [0,1] is a ValueError, as in
-    step, raised before the first block."""
-    _check_stream(xs, seed)
+    position's noise.  A block draws only its positions' noise.  A block
+    size below 1 is a ValueError, and so are a seed outside [0, 2^64) or a
+    value of xs outside [0,1], as in step; all are raised before the first
+    block."""
+    _check_stream(xs, seed, block)
     lag, schedule = counter.lag(params), counter.schedule(params)
     prefix = 0.0
     for lo in range(0, len(xs), block):
@@ -578,10 +569,8 @@ def baseline_releases(params: BaselineParams, xs: np.ndarray, seed: int,
     its low l bits cleared, or that carried node if that is before the
     block.  No array is larger than the block, and none is sized by W.
     """
-    _check_stream(xs, seed)
-    w = params.window
-    tree_offset = _prf_key_offset(seed, (DOMAIN_TREE,))
-    past_offset = _prf_key_offset(seed, (DOMAIN_PAST,))
+    _check_stream(xs, seed, block)
+    w, scale = params.window, params.tree_depth / params.eps_cur
     prefix = in_round = past = 0.0
     for lo in range(0, len(xs), block):
         x = xs[lo:lo + block]
@@ -612,28 +601,23 @@ def baseline_releases(params: BaselineParams, xs: np.ndarray, seed: int,
         rounds = np.arange(lo // w + 1, lo // w + 2 + rl[-1], dtype=np.uint64)
         c = np.full(len(rounds), past)
         begun = np.arange(1 if first or not lo else 0, len(c))
-        if len(begun):
-            keys = rounds[begun] + np.uint64(past_offset)
-            c[begun] = totals[begun * w - first] + _laplace_of_keys(
-                keys, 1.0 / params.eps_past)
+        c[begun] = totals[begun * w - first] + laplace_sample_array(
+            1.0 / params.eps_past,
+            prf_uniform_array(seed, (DOMAIN_PAST,), rounds[begun]))
         past = c[-1]
         np.add(c[rl], out, out=out)
-        # key offsets of (DOMAIN_TREE, r, l): the fold over r for every round
-        # of the block, then over l for every level its positions reach
+        # key offsets of (DOMAIN_TREE, r, l) for every round of the block
+        # and every level its positions reach, indexed [l, r]
         levels = min(w, first + n).bit_length()
-        h = rounds + np.uint64(tree_offset)
-        _mix64_inplace(h, np.empty_like(h))
-        offsets = h + (np.arange(levels, dtype=np.uint64)
-                       + np.uint64(_GOLDEN))[:, None]
-        _mix64_inplace(offsets, np.empty_like(offsets))
-        offsets += np.uint64(_GOLDEN)
+        offsets = _key_offsets(seed, (DOMAIN_TREE,), rounds,
+                               np.arange(levels, dtype=np.uint64)[:, None])
         low = np.frexp(s & -s)[1] - 1        # nu2(s), exact: s & -s is 2^nu2
         keys = np.empty(levels + n, dtype=np.uint64)
         keys[:levels] = first >> np.arange(levels)
         keys[:levels] += offsets[:, 0]
         keys[levels:] = s >> low
         keys[levels:] += offsets[low, rl]
-        z = _laplace_of_keys(keys, params.tree_depth / params.eps_cur)
+        z = _keyed_laplace_into(keys, np.empty(len(keys)), ((..., scale),))
         carried, z = z[:levels].tolist(), z[levels - 1:]
         # step i's level-l node is z[1 + i - s + (s >> l << l)], its round's
         # level-l node carried into the block at index 0 or below
@@ -669,10 +653,12 @@ def expiration_max_and_mse_batch(params: MechanismParams, positions: int,
     if positions < 1:
         raise ValueError(f"positions must be >= 1, got {positions}")
     seeds = [int(s) for s in seeds]
-    maxes = np.empty(len(seeds))
-    mses = np.empty(len(seeds))
+    maxes, mses = np.empty((2, len(seeds)))
+    schedule = ExpirationCounter.schedule(params)
+    total = np.empty(positions)
     for i, s in enumerate(seeds):
-        total = expiration_noise_totals(params, positions, s)[1:]
+        total.fill(0.0)
+        _add_noise_totals(total, schedule, 1, s)
         np.abs(total, out=total)
         maxes[i] = total.max()
         total *= total

@@ -9,6 +9,15 @@ run consumed and re-executes the run with a handful of them shifted.
 The generator is a splitmix64-style finalizer chained over the key parts.
 It is statistically solid for noise generation but deliberately not
 cryptographic (out of scope here).
+
+Only this module knows how a key becomes a draw.  The scalar lane is
+keyed_noise.  The array lane, which every numpy kernel and runner draws
+through, has two private entries: _key_offsets folds a key prefix, then
+any uint64 array parts elementwise, into the offsets a draw index is added
+to, and _keyed_laplace_into turns those keys into Laplace draws in place,
+with a scale per slice.  prf_uniform_array and laplace_sample_array are the
+same lane in two public steps.  Every lane gives a key the same value, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -69,30 +78,38 @@ def prf_uniform(seed: int, parts) -> float:
     return ((h >> 12) + 0.5) * _INV_2_52
 
 
-def _prf_key_offset(seed: int, prefix) -> int:
-    """What the array lane adds to a draw index to get its finalizer input.
-
-    The fold over ``prefix`` is prf_uniform's, in scalar space.  Addition
-    mod 2^64 is associative, so the state it leaves and the finalizer's
-    golden-ratio increment fold into this one offset.
-    """
-    h = _check_seed(seed)
-    for p in prefix:
-        h = _mix64((h + p) & _MASK64)
-    return (h + _GOLDEN) & _MASK64
-
-
 def _mix64_inplace(h: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """_mix64 after its golden-ratio increment, in place on uint64 h: on
-    _prf_key_offset(seed, prefix) + p it gives the PRF state after the
-    parts prefix + (p,).  `scratch` is a uint64 array of h's shape; it is
-    overwritten.  Returns h."""
+    """_mix64 after its golden-ratio increment, in place on uint64 h.
+    `scratch` is a uint64 array of h's shape; it is overwritten.  Returns
+    h."""
     for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
         np.right_shift(h, np.uint64(shift), out=scratch)
         h ^= scratch
         h *= np.uint64(mult)
     np.right_shift(h, np.uint64(31), out=scratch)
     h ^= scratch
+    return h
+
+
+def _key_offsets(seed: int, prefix, *parts):
+    """What the array lane adds to a draw index to get its finalizer input.
+
+    The fold over ``prefix`` is prf_uniform's, in scalar space.  Each of
+    ``parts``, a uint64 array, then extends the key elementwise, with
+    broadcasting: the result holds the offset of prefix + (p1, p2, ...) for
+    each combination of the parts' elements.  Addition mod 2^64 is
+    associative, so the state a fold leaves and the finalizer's golden-ratio
+    increment fold into one offset.  Returns a Python int without parts,
+    else a uint64 array of the parts' broadcast shape.
+    """
+    h = _check_seed(seed)
+    for p in prefix:
+        h = _mix64((h + p) & _MASK64)
+    h = (h + _GOLDEN) & _MASK64
+    for p in parts:
+        h = p + h
+        _mix64_inplace(h, np.empty_like(h))
+        h += np.uint64(_GOLDEN)
     return h
 
 
@@ -118,8 +135,7 @@ def prf_uniform_array(seed: int, prefix, indices: np.ndarray) -> np.ndarray:
     ``prefix`` happens in scalar space, the final round is vectorized with
     in-place ufuncs.  `indices` is left unchanged.
     """
-    h = indices.astype(np.uint64)
-    h += np.uint64(_prf_key_offset(seed, prefix))
+    h = indices.astype(np.uint64) + _key_offsets(seed, prefix)
     return _prf_uniform_inplace(h, np.empty_like(h))
 
 
@@ -169,6 +185,20 @@ def laplace_sample_array(scale: float, uniforms: np.ndarray) -> np.ndarray:
     u = np.array(uniforms, dtype=np.float64)
     out = np.empty_like(u)
     _laplace_inplace(u, out, ((..., scale),))
+    return out
+
+
+def _keyed_laplace_into(keys: np.ndarray, out: np.ndarray,
+                        scales) -> np.ndarray:
+    """The Laplace draws of uint64 keys (index + key offset) into `out`,
+    each keyed_noise's for its key.
+
+    ``scales`` lists (index, scale) pairs covering `out`, as for
+    _laplace_inplace.  `out` is a float64 array of keys' shape and is also
+    the PRF's scratch; `keys` is overwritten.  Returns out.
+    """
+    _laplace_inplace(_prf_uniform_inplace(keys, out.view(np.uint64)), out,
+                     scales)
     return out
 
 

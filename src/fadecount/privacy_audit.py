@@ -89,12 +89,16 @@ class PrivacyLossCurve:
     def envelope(self) -> np.ndarray:
         return np.maximum.accumulate(self.loss)
 
-    def envelope_at(self, d: int) -> float:
-        """Envelope value at elapsed time d (largest grid point <= d)."""
-        idx = int(np.searchsorted(self.d, d, side="right")) - 1
-        if idx < 0:
-            raise ValueError(f"curve starts at d={self.d[0]}, asked for {d}")
-        return float(self.envelope[idx])
+    def envelope_at(self, d):
+        """Envelope value at elapsed time d (largest grid point <= d), a
+        float; or an array of them for an array of d, read as a grid."""
+        d = _grid(d)
+        idx = np.searchsorted(self.d, d, side="right") - 1
+        if np.min(idx, initial=0) < 0:
+            raise ValueError(f"curve starts at d={self.d[0]}, asked for "
+                             f"{d.min()}")
+        env = self.envelope[idx]
+        return env if np.ndim(d) else float(env)
 
 
 def exact_loss_bound(d: int, params: MechanismParams) -> float:
@@ -179,28 +183,30 @@ _LEVEL_COUNTS = np.array([[[0, 0, 1, 2], [0, 1, 2, 1]],
 def _check_d(d_min: int, d_max: int, delay=None) -> None:
     """Reject a grid (or one d) whose largest d has n = d - delay + 1 at
     2^62 or past, where the expiration kernels' level tables stop (checked
-    only given their delay), then one whose smallest d is negative
-    (ValueError)."""
+    only given their delay), then one whose smallest d is negative, then one
+    whose largest d is past int64 (ValueError)."""
     if delay is not None and d_max - delay + 1 >= 1 << 62:
         raise ValueError("d - delay + 1 must be below 2^62, got "
                          f"{d_max - delay + 1}")
     if d_min < 0:
         raise ValueError(f"d must be nonnegative, got {d_min}")
+    if d_max >= 1 << 63:
+        raise ValueError(f"d must be below 2^63, got {d_max}")
 
 
 def _grid(d_values, delay=None) -> np.ndarray:
-    """d_values as an int64 array, checked by _check_d; a d past int64 is a
-    ValueError too, after _check_d's, not numpy's OverflowError."""
-    if np.asarray(d_values).dtype.kind == "u":  # a cast wraps from 2^63
-        d_values = np.asarray(d_values, dtype=object)
-    try:
-        d = np.asarray(d_values, dtype=np.int64)
-    except OverflowError:
-        d = np.asarray(d_values, dtype=object)  # the Python ints, exact
-        _check_d(d.min(), d.max(), delay)
-        raise ValueError(f"d must be below 2^63, got {d.max()}") from None
+    """d_values as an int64 array.  A d that is not an integer is a
+    ValueError; the integers are read by value, whatever their type, and
+    checked by _check_d.  An int64 array is returned as it is, not
+    copied."""
+    d = np.asarray(d_values)
+    if d.dtype.kind not in "biu":
+        with np.errstate(invalid="ignore"):     # inf % 1 is NaN
+            fractional = d[np.mod(d, 1) != 0]
+        if fractional.size:
+            raise ValueError(f"d must be an integer, got {fractional.flat[0]}")
     _check_d(int(d.min(initial=0)), int(d.max(initial=0)), delay)
-    return d
+    return d.astype(np.int64, copy=False)
 
 
 def _over_grid(d_values, values_at, delay=None) -> np.ndarray:
@@ -508,13 +514,10 @@ def lower_bound_check(T: int, C: int, epsilon: float,
     if not 0 < C < T / 2:
         raise ValueError(f"need 0 < C < T/2, got C={C}, T={T}")
     log_term = math.log(T / (6.0 * C))
-    env = curve.envelope
-    idx = np.searchsorted(curve.d, np.arange(2 * C), side="right") - 1
-    if idx[0] < 0:
-        raise ValueError(f"curve starts at d={curve.d[0]}, need d=0 coverage")
-    lhs = float(env[idx].sum())
+    env = curve.envelope_at(np.arange(2 * C))
+    lhs = float(env.sum())
     rhs = log_term / epsilon
-    sec_lhs = 2.0 * C * float(env[idx[-1]])
+    sec_lhs = 2.0 * C * float(env[-1])
     sec_rhs = log_term / (2.0 * epsilon)
     return LowerBoundReport(lhs >= rhs, lhs, rhs,
                             sec_lhs >= sec_rhs, sec_lhs, sec_rhs)

@@ -53,6 +53,22 @@ class TestPrivacyLossCurve:
         with pytest.raises(ValueError):
             curve.envelope_at(-1)
 
+    def test_envelope_at_an_array(self):
+        # one lookup rule for a d and for an array of d
+        curve = PrivacyLossCurve([0, 2, 4], [1.0, 3.0, 2.0])
+        ds = np.arange(7)
+        got = curve.envelope_at(ds)
+        assert got.tolist() == [curve.envelope_at(int(d)) for d in ds]
+        assert type(curve.envelope_at(3)) is float
+        late = PrivacyLossCurve([2, 4], [1.0, 3.0])
+        with pytest.raises(ValueError,
+                           match="^curve starts at d=2, asked for 0$"):
+            late.envelope_at(ds)
+        # a d is read as every grid's: NaN is not the last grid point
+        with pytest.raises(ValueError,
+                           match="^d must be an integer, got nan$"):
+            curve.envelope_at(math.nan)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PrivacyLossCurve([0, 0], [1.0, 1.0])      # not strictly increasing
@@ -69,7 +85,8 @@ class TestPrivacyLossCurve:
         ([2**63], rf"d must be below 2\^63, got {2**63}"),
         (np.array([1, 2**63], dtype=np.uint64),
          rf"d must be below 2\^63, got {2**63}"),
-        ([-1, 0], "d must be nonnegative, got -1")])
+        ([-1, 0], "d must be nonnegative, got -1"),
+        ([0.5, 1.5], r"d must be an integer, got 0\.5")])
     def test_d_is_checked_as_every_grid(self, d, message):
         # the constructor reads d as the loss functions' grids: the limit
         # named, never numpy's OverflowError
@@ -333,6 +350,24 @@ class TestGridDriver:
         got = curve(np.array(ds, dtype=np.uint64))
         assert got.d.dtype == np.int64
         assert got.loss.tolist() == curve(ds).loss.tolist()
+
+    @pytest.mark.parametrize("call", [
+        lambda ds: empirical_loss_curve(MechanismParams(1.0), ds, 10),
+        lambda ds: published_loss_bounds(MechanismParams(1.0), ds),
+        lambda ds: baseline_loss_curve(BaselineParams(8, 1.0, 0.1), ds, 10),
+        lambda ds: simple_loss_curve(MechanismParams(1.0), ds, 10)])
+    def test_non_integral_d_is_an_error(self, call):
+        # a d that is not an integer is named, not truncated to one; an
+        # integral float reads as its integer
+        for ds, bad in (([2.7, 3.9], "2.7"), ([1.0, math.nan], "nan"),
+                        ([0, math.inf], "inf"),
+                        (np.array([2**64, 0.5], dtype=object), "0.5")):
+            with pytest.raises(ValueError,
+                               match=f"^d must be an integer, got {bad}$"):
+                call(ds)
+        got, want = call([2.0, 3.0]), call([2, 3])
+        got, want = (getattr(got, "loss", got), getattr(want, "loss", want))
+        assert got.tolist() == want.tolist()
 
     def test_negative_d_past_int64_is_an_error(self):
         with pytest.raises(ValueError, match=r"^d must be nonnegative, got "
@@ -903,6 +938,12 @@ class TestLowerBound:
             lower_bound_check(100, 0, eps, curve)
         with pytest.raises(ValueError):
             lower_bound_check(100, 50, eps, curve)
+
+    def test_curve_must_start_at_zero(self):
+        late = PrivacyLossCurve(np.arange(1, 100), np.ones(99))
+        with pytest.raises(ValueError,
+                           match="^curve starts at d=1, asked for 0$"):
+            lower_bound_check(100, 10, 0.1, late)
 
     def test_report_bool_reflects_inequality(self):
         # an artificial curve far too low must fail the check

@@ -570,6 +570,21 @@ class TestBaselineReleases:
         assert len(baseline_blocks(params, np.zeros(length), 2**64 - 1,
                                    4)) == length
 
+    @pytest.mark.parametrize("length", [0, 1, 100])
+    def test_bad_block_raises_before_the_first_block(self, length):
+        # every block runner names the bad size before it releases anything,
+        # an empty stream included
+        xs, params = np.zeros(length), MechanismParams(0.7, 2.0, 3)
+        for block in (0, -5):
+            for blocks in (
+                    baseline_releases(BaselineParams(7, 0.7, 0.07), xs, 3,
+                                      block),
+                    lagged_releases(ExpirationCounter, params, xs, 3, block),
+                    lagged_releases(SimpleCounter, params, xs, 3, block)):
+                with pytest.raises(ValueError, match="^block must be a "
+                                   f"positive integer, got {block}$"):
+                    next(blocks)
+
     @pytest.mark.parametrize("bad", [-0.5, 1 + 2**-52, math.nan])
     def test_bad_value_raises_before_the_first_block(self, bad):
         # in the stream's last block, found before its first is released
@@ -605,6 +620,19 @@ class TestVectorizedRunners:
         c = ExpirationCounter(params, SeededNoise(17))
         for p in range(1, 301):
             assert c.step(0.0) == totals[p]
+
+    def test_batch_builds_the_schedule_once(self):
+        schedule = ExpirationCounter.schedule
+        calls = []
+
+        def counting(params):
+            calls.append(params)
+            return schedule(params)
+
+        with mock.patch.object(ExpirationCounter, "schedule",
+                               staticmethod(counting)):
+            expiration_max_and_mse_batch(MechanismParams(1.0), 64, range(5))
+        assert len(calls) == 1
 
     def test_batch_statistics_match_single_runs(self):
         params = MechanismParams(1.0, 1.0, 0)
@@ -688,14 +716,14 @@ class TestVectorizedRunners:
     def test_range_draws_only_its_positions(self):
         # one position at 2^20 takes one draw per level: 21, not 2^21
         params, p, seed = MechanismParams(0.8, 1.5), 1 << 20, 6
-        finish = mechanisms._prf_uniform_inplace
+        finish = mechanisms._keyed_laplace_into
         drawn = []
 
-        def counting(keys, scratch):
+        def counting(keys, out, scales):
             drawn.append(len(keys))
-            return finish(keys, scratch)
+            return finish(keys, out, scales)
 
-        with mock.patch.object(mechanisms, "_prf_uniform_inplace", counting):
+        with mock.patch.object(mechanisms, "_keyed_laplace_into", counting):
             got = noise_range(params, p, p, seed)
         assert sum(drawn) == 21
         want = 0

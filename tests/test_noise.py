@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fadecount.noise import (concentration_threshold, keyed_noise,
+from fadecount.noise import (_key_offsets, _keyed_laplace_into,
+                             concentration_threshold, keyed_noise,
                              laplace_sample, laplace_sample_array,
                              prf_uniform, prf_uniform_array)
 
@@ -78,6 +79,48 @@ class TestPrfUniform:
     def test_array_matches_scalar_property(self, seed, lvl, k):
         arr = prf_uniform_array(seed, (1, lvl), np.array([k], dtype=np.uint64))
         assert arr[0] == prf_uniform(seed, (1, lvl, k))
+
+
+# key parts anywhere in [0, 2^64), and often within 2^10 of the top, where
+# the fold's additions wrap
+key_parts = st.one_of(st.integers(0, 2**64 - 1),
+                      st.integers(2**64 - 2**10, 2**64 - 1))
+
+
+class TestArrayLane:
+    @given(st.one_of(st.sampled_from([0, 2**64 - 1]),
+                     st.integers(0, 2**64 - 1)),
+           st.sampled_from([(), (1,), (3,), (2, 7), (2**64 - 1, 0)]),
+           st.lists(key_parts, min_size=1, max_size=4),
+           st.lists(key_parts, min_size=1, max_size=3))
+    @settings(max_examples=60)
+    def test_array_fold_equals_scalar_fold(self, seed, prefix, a, b):
+        # one part folds elementwise; two broadcast to every (b, a) pair
+        pa = np.array(a, dtype=np.uint64)
+        pb = np.array(b, dtype=np.uint64)[:, None]
+        one = _key_offsets(seed, prefix, pa)
+        assert one.dtype == np.uint64
+        assert one.tolist() == [_key_offsets(seed, prefix + (x,)) for x in a]
+        two = _key_offsets(seed, prefix, pa, pb)
+        assert two.shape == (len(b), len(a))
+        assert two.tolist() == [[_key_offsets(seed, prefix + (x, y))
+                                 for x in a] for y in b]
+        assert pa.tolist() == a     # the parts are left unchanged
+
+    @given(st.integers(0, 2**64 - 1), key_parts,
+           st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
+           st.integers(0, 6))
+    @settings(max_examples=40)
+    def test_laplace_of_keys_is_keyed_noise(self, seed, lvl, ks, cut):
+        # keys are index + key offset; each slice has its own scale
+        offset = _key_offsets(seed, (3,), np.array([lvl], dtype=np.uint64))
+        keys = np.array(ks, dtype=np.uint64) + offset
+        out = np.empty(len(ks))
+        _keyed_laplace_into(keys, out, ((slice(None, cut), 0.5),
+                                        (slice(cut, None), 7.0)))
+        assert out.tolist() == [
+            keyed_noise(seed, (3, lvl, k), 0.5 if i < cut else 7.0)
+            for i, k in enumerate(ks)]
 
 
 def unmix64_reference(h):
