@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 from .mechanisms import (BaselineParams, ExpirationCounter, MechanismParams,
-                         _check_finite)
-from .noise import concentration_threshold
+                         _check_positive)
+from .noise import _integer, concentration_threshold
 
 _REL_TOL = 1e-9
 
@@ -32,8 +32,7 @@ def analytic_mse_expiration(params: MechanismParams, T: int) -> float:
     outputs carry 0.  Summed exactly by grouping positions with equal
     floor(log2 p).
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    T = _integer("T", T, 1)
     positions = T - params.delay
     if positions < 1:
         return 0.0
@@ -47,8 +46,7 @@ def analytic_mse_expiration(params: MechanismParams, T: int) -> float:
 
 def popcount_total(m: int) -> int:
     """Exact sum of popcount(s) for s = 1..m, in O(log m)."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    m = _integer("m", m)
     total = 0
     for bit in range(m.bit_length()):
         period = 1 << (bit + 1)
@@ -74,26 +72,20 @@ def _baseline_unit_sums(window: int, T: int) -> tuple[float, float]:
 
 def analytic_mse_baseline(params: BaselineParams, T: int) -> float:
     """Average noise variance of the baseline over outputs 1..T (exact)."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    T = _integer("T", T, 1)
     tree, past = _baseline_unit_sums(params.window, T)
     eps_cur, eps_past = params.eps_cur, params.eps_past
     return (tree / (eps_cur * eps_cur) + past / (eps_past * eps_past)) / T
 
 
-def _check_target(target_mse: float, **others) -> None:
-    """Reject a target MSE (or any of others) that is not finite, then a
-    target MSE that is not positive (ValueError)."""
-    _check_finite(target_mse=target_mse, **others)
-    if target_mse <= 0:
-        raise ValueError(f"target_mse must be positive, got {target_mse}")
-
-
 class _HitsTarget:
     """A calibration's result, which must hit its target_mse: achieved_mse
-    within a relative _REL_TOL of it, else a ValueError."""
+    within a relative _REL_TOL of it, else a ValueError.  The horizon is
+    stored as the Python int _integer reads."""
 
     def __post_init__(self):
+        object.__setattr__(self, "horizon",
+                           _integer("horizon", self.horizon, 1))
         rel = abs(self.achieved_mse - self.target_mse) / self.target_mse
         if rel > _REL_TOL:
             raise ValueError(
@@ -124,7 +116,7 @@ class BaselineCalibration(_HitsTarget):
 def calibrate_epsilon(target_mse: float, T: int, level_exponent: float = 1.0,
                       delay: int = 0) -> CalibrationResult:
     """Find eps with analytic_mse_expiration == target_mse (closed form)."""
-    _check_target(target_mse)
+    _check_positive(target_mse=target_mse)
     unit = analytic_mse_expiration(
         MechanismParams(1.0, level_exponent, delay), T)
     if unit == 0.0:
@@ -138,9 +130,7 @@ def calibrate_epsilon(target_mse: float, T: int, level_exponent: float = 1.0,
 def calibrate_baseline(target_mse: float, T: int, window: int,
                        ratio: float) -> BaselineCalibration:
     """Find (eps_cur, eps_past = ratio * eps_cur) hitting target_mse."""
-    _check_target(target_mse, ratio=ratio)
-    if ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
+    _check_positive(target_mse=target_mse, ratio=ratio)
     # at unit eps_cur the past draws' variance is a sum over ratio^2, which
     # has no float value once ratio^2 underflows to 0 or the sum overflows
     unit = (analytic_mse_baseline(BaselineParams(window, 1.0, ratio), T)
@@ -175,6 +165,7 @@ def optimal_ratio(target_mse: float, T: int,
     the objective tends to infinity at both ends, so it is the minimum.
     window < T makes N >= 2 and B > 0.
     """
+    T, window = _integer("T", T, 1), _integer("window", window, 1)
     if not window < T:
         raise ValueError(f"need window < T, got window={window}, T={T}")
     tree, past = _baseline_unit_sums(window, T)
@@ -189,10 +180,10 @@ def error_bound_expiration(t: int, beta: float,
 
     delay (the deterministic part) plus the concentration threshold of the
     per-level noise scales live at release position t - delay; holds with
-    probability >= 1 - beta at any fixed t.
+    probability >= 1 - beta at any fixed t.  A t that is not an integer
+    past the delay is a ValueError.
     """
-    if t <= params.delay:
-        raise ValueError(f"t must exceed the delay {params.delay}, got {t}")
+    t = _integer("t", t, params.delay + 1)
     live = ExpirationCounter.schedule(params)[:(t - params.delay).bit_length()]
     return params.delay + concentration_threshold(
         [scale for _key, scale in live], beta)

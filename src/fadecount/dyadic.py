@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .noise import _integer
+
 
 class DyadicInterval(NamedTuple):
     """[index * 2**level, (index+1) * 2**level - 1], index >= 1.
@@ -38,9 +40,7 @@ class DyadicInterval(NamedTuple):
 
 
 def floor_log2(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"floor_log2 needs n >= 1, got {n}")
-    return n.bit_length() - 1
+    return _integer("n", n, 1).bit_length() - 1
 
 
 def decompose(a: int, b: int) -> list[DyadicInterval]:
@@ -48,9 +48,10 @@ def decompose(a: int, b: int) -> list[DyadicInterval]:
 
     Sorted by start position.  Max level never exceeds floor(log2(b-a+1)),
     and since ka >= 1 throughout, no interval starting at 0 can be emitted.
+    a and b are read by noise._integer: integers with 1 <= a <= b.
     """
-    if a < 1 or a > b:
-        raise ValueError(f"need 1 <= a <= b, got a={a}, b={b}")
+    a = _integer("a", a, 1)
+    b = _integer("b", b, a)
     out = []
     ka, kb, lvl = a, b, 0
     while ka <= kb:

@@ -47,8 +47,9 @@ from itertools import accumulate
 import numpy as np
 
 from .dyadic import decompose, floor_log2
-from .noise import (_MASK64, _check_seed, _key_offsets, _keyed_laplace_into,
-                    keyed_noise, laplace_sample_array, prf_uniform_array)
+from .noise import (_MASK64, _check_seed, _integer, _key_offsets,
+                    _keyed_laplace_into, keyed_noise, laplace_sample_array,
+                    prf_uniform_array)
 
 # key domains, so draws of different kinds can never collide
 DOMAIN_INTERVAL = 1   # (DOMAIN_INTERVAL, level, index)         interval noise
@@ -62,6 +63,15 @@ def _check_finite(**values):
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_positive(**values):
+    """Reject a parameter that is not finite, then one that is not positive,
+    by name (ValueError)."""
+    _check_finite(**values)
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _check_scale(name: str, given: str, compute, *args):
@@ -87,7 +97,8 @@ class MechanismParams:
                     1.0 gives every level the same scale; larger values
                     shrink noise on coarse levels at the price of faster
                     privacy-loss growth, and 0 is allowed.
-    delay           number of initial steps released as exact 0 (>= 0)
+    delay           number of initial steps released as exact 0 (>= 0),
+                    stored as the Python int _integer reads
     """
 
     epsilon: float
@@ -95,15 +106,12 @@ class MechanismParams:
     delay: int = 0
 
     def __post_init__(self):
-        _check_finite(epsilon=self.epsilon,
-                      level_exponent=self.level_exponent)
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        _check_positive(epsilon=self.epsilon)
+        _check_finite(level_exponent=self.level_exponent)
         if self.level_exponent < 0:
             raise ValueError(
                 f"level_exponent must be nonnegative, got {self.level_exponent}")
-        if self.delay < 0 or int(self.delay) != self.delay:
-            raise ValueError(f"delay must be a nonnegative integer, got {self.delay}")
+        object.__setattr__(self, "delay", _integer("delay", self.delay))
         # levels 0 and 62 are the ends of the kernels' level range, and each
         # is monotone in the level, so these bound every level between
         for name in ("level_scale", "budget_weight"):
@@ -143,21 +151,19 @@ class MechanismParams:
 
 @dataclass(frozen=True)
 class BaselineParams:
-    """Windowed-baseline parameters: window length and the two budgets."""
+    """Windowed-baseline parameters: window length (stored as the Python
+    int _integer reads) and the two budgets."""
 
     window: int
     eps_cur: float
     eps_past: float
 
     def __post_init__(self):
-        if self.window < 1 or int(self.window) != self.window:
-            raise ValueError(f"window must be a positive integer, got {self.window}")
+        object.__setattr__(self, "window", _integer("window", self.window, 1))
         # the loss kernel sums up to 2 * window - 1 in int64
         if self.window > 1 << 62:
             raise ValueError(f"window must be at most 2^62, got {self.window}")
-        _check_finite(eps_cur=self.eps_cur, eps_past=self.eps_past)
-        if self.eps_cur <= 0 or self.eps_past <= 0:
-            raise ValueError("both eps values must be positive")
+        _check_positive(eps_cur=self.eps_cur, eps_past=self.eps_past)
         # the scales BaselineCounter draws at
         _check_scale("tree_depth/eps_cur",
                      f"window {self.window}, eps_cur {self.eps_cur!r}",
@@ -169,7 +175,7 @@ class BaselineParams:
     def tree_depth(self) -> int:
         """Number of tree levels k = ceil(log2(window+1)), the bit length
         of the window (exact in integers, where log2 rounds from 2^53)."""
-        return int(self.window).bit_length()
+        return self.window.bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +186,7 @@ class SeededNoise:
     """Draws keyed Laplace noise deterministically from a 64-bit seed."""
 
     def __init__(self, seed: int):
-        self.seed = _check_seed(int(seed))
+        self.seed = _check_seed(seed)
 
     def draw(self, parts, scale):
         return keyed_noise(self.seed, parts, scale)
@@ -503,9 +509,7 @@ def expiration_noise_totals(params: MechanismParams, positions: int,
                             seed: int) -> np.ndarray:
     """Total interval noise at release positions 1..positions (index 0
     unused)."""
-    if positions < 0:
-        raise ValueError(f"positions must be >= 0, got {positions}")
-    total = np.zeros(positions + 1)
+    total = np.zeros(_integer("positions", positions) + 1)
     _add_noise_totals(total[1:], ExpirationCounter.schedule(params), 1, seed)
     return total
 
@@ -518,14 +522,15 @@ def running_sums(xs: np.ndarray, carry, out: np.ndarray):
     return np.cumsum(out, out=out)[-1]
 
 
-def _check_stream(xs: np.ndarray, seed: int, block: int) -> None:
-    """Reject a block size below 1, then a seed outside [0, 2^64) or a value
-    of xs outside [0,1], by step's messages (ValueError)."""
-    if block < 1:
-        raise ValueError(f"block must be a positive integer, got {block}")
-    _check_seed(seed)
+def _check_stream(xs: np.ndarray, seed: int, block: int) -> tuple[int, int]:
+    """Reject a block size that is not a positive integer, then a seed
+    outside [0, 2^64) or a value of xs outside [0,1], by step's messages
+    (ValueError); return (seed, block) as Python ints."""
+    block = _integer("block", block, 1)
+    seed = _check_seed(seed)
     if len(xs) and not (xs.min() >= 0 and xs.max() <= 1):  # NaN fails too
         _check_input(float(xs[~((xs >= 0) & (xs <= 1))][0]))
+    return seed, block
 
 
 def lagged_releases(counter, params, xs: np.ndarray, seed: int, block: int):
@@ -533,10 +538,10 @@ def lagged_releases(counter, params, xs: np.ndarray, seed: int, block: int):
     over the stream xs, bit for bit, one array per `block` steps: 0 up to
     step lag, then at step t the prefix through position t - lag plus that
     position's noise.  A block draws only its positions' noise.  A block
-    size below 1 is a ValueError, and so are a seed outside [0, 2^64) or a
-    value of xs outside [0,1], as in step; all are raised before the first
-    block."""
-    _check_stream(xs, seed, block)
+    size that is not a positive integer is a ValueError, and so are a seed
+    outside [0, 2^64) or a value of xs outside [0,1], as in step; all are
+    raised before the first block."""
+    seed, block = _check_stream(xs, seed, block)
     lag, schedule = counter.lag(params), counter.schedule(params)
     prefix = 0.0
     for lo in range(0, len(xs), block):
@@ -569,7 +574,7 @@ def baseline_releases(params: BaselineParams, xs: np.ndarray, seed: int,
     its low l bits cleared, or that carried node if that is before the
     block.  No array is larger than the block, and none is sized by W.
     """
-    _check_stream(xs, seed, block)
+    seed, block = _check_stream(xs, seed, block)
     w, scale = params.window, params.tree_depth / params.eps_cur
     prefix = in_round = past = 0.0
     for lo in range(0, len(xs), block):
@@ -650,12 +655,10 @@ def expiration_max_and_mse_batch(params: MechanismParams, positions: int,
     zero stream the released error at position p is exactly the interval
     noise total, so these statistics need no stream at all.
     """
-    if positions < 1:
-        raise ValueError(f"positions must be >= 1, got {positions}")
-    seeds = [int(s) for s in seeds]
+    total = np.empty(_integer("positions", positions, 1))
+    seeds = [_check_seed(s) for s in seeds]
     maxes, mses = np.empty((2, len(seeds)))
     schedule = ExpirationCounter.schedule(params)
-    total = np.empty(positions)
     for i, s in enumerate(seeds):
         total.fill(0.0)
         _add_noise_totals(total, schedule, 1, s)

@@ -18,6 +18,11 @@ to, and _keyed_laplace_into turns those keys into Laplace draws in place,
 with a scale per slice.  prf_uniform_array and laplace_sample_array are the
 same lane in two public steps.  Every lane gives a key the same value, bit
 for bit.
+
+_integer is the package's one reader of a scalar integral parameter (a
+seed, a delay, a window, a horizon, ...): it reads the value whatever its
+type and names the parameter when the value is no integer or too small.
+Grids of d are read by privacy_audit._grid, by the same rule.
 """
 
 from __future__ import annotations
@@ -55,9 +60,29 @@ def _mix64(h: int) -> int:
     return h ^ (h >> 31)
 
 
-def _check_seed(seed: int) -> int:
-    """seed, checked to lie in [0, 2^64): the key folds add it mod 2^64, so
-    any other seed would draw the noise of one inside (ValueError)."""
+# how _integer's message names the integers at or above its low bound
+_KINDS = {None: "an integer", 0: "a nonnegative integer",
+          1: "a positive integer"}
+
+
+def _integer(name: str, value, low=0) -> int:
+    """value as a Python int, read by value: an int, a bool, a numpy integer
+    or an integral float such as 2.0.  Anything else (2.5, NaN, infinity, a
+    string), or an integer below `low` (None: no bound), is a ValueError
+    that names the parameter."""
+    if (isinstance(value, (int, np.integer)) or isinstance(
+            value, (float, np.floating)) and value.is_integer()) and (
+            low is None or int(value) >= low):
+        return int(value)
+    raise ValueError(f"{name} must be "
+                     f"{_KINDS.get(low, f'an integer >= {low}')}, got {value!r}")
+
+
+def _check_seed(seed) -> int:
+    """seed as a Python int, read by _integer and checked to lie in
+    [0, 2^64): the key folds add it mod 2^64, so any other seed would draw
+    the noise of one inside (ValueError)."""
+    seed = _integer("seed", seed, None)
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     return seed
@@ -68,11 +93,13 @@ def prf_uniform(seed: int, parts) -> float:
 
     ``parts`` is a tuple of small nonnegative ints identifying the draw
     (domain tag, level, index, ...).  Chaining one finalizer round per part
-    keeps distinct keys statistically independent.  A seed outside
-    [0, 2^64) is a ValueError.
+    keeps distinct keys statistically independent.  The seed is read by
+    _check_seed: any integral value in [0, 2^64), and anything else is a
+    ValueError.
     """
-    # _check_seed's test inline, as this runs once per scalar draw
-    h = seed if 0 <= seed <= _MASK64 else _check_seed(seed)
+    # a Python int in [0, 2^64) (no bits above 63) skips _check_seed, as
+    # this runs once per draw
+    h = seed if type(seed) is int and seed >> 64 == 0 else _check_seed(seed)
     for p in parts:
         h = _mix64((h + p) & _MASK64)
     return ((h >> 12) + 0.5) * _INV_2_52
@@ -133,8 +160,12 @@ def prf_uniform_array(seed: int, prefix, indices: np.ndarray) -> np.ndarray:
 
     Bit-identical to the scalar path for every element; the fold over
     ``prefix`` happens in scalar space, the final round is vectorized with
-    in-place ufuncs.  `indices` is left unchanged.
+    in-place ufuncs.  `indices` is left unchanged.  Indices that are not
+    integers are a ValueError (the scalar path's sum raises); a negative
+    signed index wraps mod 2^64, as in the scalar path.
     """
+    if indices.dtype.kind not in "biu":
+        raise ValueError(f"indices must be integers, got {indices.dtype}")
     h = indices.astype(np.uint64) + _key_offsets(seed, prefix)
     return _prf_uniform_inplace(h, np.empty_like(h))
 
@@ -180,9 +211,13 @@ def laplace_sample_array(scale: float, uniforms: np.ndarray) -> np.ndarray:
     """Vectorized inverse-CDF Laplace; matches laplace_sample elementwise.
 
     Computes ``-scale * sgn(c) * log1p(-2|c|)`` with c = u - 1/2, in that
-    order, with in-place ufuncs.  `uniforms` is left unchanged.
+    order, with in-place ufuncs.  `uniforms` is left unchanged.  A scale
+    or a uniform laplace_sample rejects is a ValueError here too: it is
+    applied to the smallest and the largest uniform (NaN being either).
     """
     u = np.array(uniforms, dtype=np.float64)
+    for end in (np.min, np.max):
+        laplace_sample(scale, float(end(u, initial=0.5)))
     out = np.empty_like(u)
     _laplace_inplace(u, out, ((..., scale),))
     return out

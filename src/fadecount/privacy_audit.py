@@ -40,8 +40,8 @@ import numpy as np
 # bench/spans.py traces decomposition_costs under this module's name
 from .dyadic import decomposition_costs  # noqa: F401
 from .mechanisms import (BaselineParams, MechanismParams, RecordingNoise,
-                         ReplayNoise, SeededNoise)
-from .noise import plain_sum
+                         ReplayNoise, SeededNoise, _check_positive)
+from .noise import _integer, plain_sum
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def exact_loss_bound(d: int, params: MechanismParams) -> float:
     floor(log2(d - delay + 1)); 0 in the delay regime d < delay.  As on a
     grid, d must be nonnegative and d - delay + 1 below 2^62.
     """
-    _check_d(d, d, params.delay)
+    d = int(_grid(d, params.delay))
     if d < params.delay:
         return 0.0
     levels = (d - params.delay + 1).bit_length()
@@ -124,7 +124,7 @@ def closed_form_loss_bound(d: int, params: MechanismParams) -> float:
     the log here is continuous, this can dip below exact_loss_bound at
     isolated d; use published_loss_bound for a dominating curve.
     """
-    _check_d(d, d, params.delay)
+    d = int(_grid(d, params.delay))
     if d < params.delay:
         return 0.0
     lam = params.level_exponent
@@ -180,11 +180,20 @@ _LEVEL_COUNTS = np.array([[[0, 0, 1, 2], [0, 1, 2, 1]],
                           [[0, 0, 1, 0], [0, 1, 0, 1]]])
 
 
-def _check_d(d_min: int, d_max: int, delay=None) -> None:
-    """Reject a grid (or one d) whose largest d has n = d - delay + 1 at
-    2^62 or past, where the expiration kernels' level tables stop (checked
-    only given their delay), then one whose smallest d is negative, then one
-    whose largest d is past int64 (ValueError)."""
+def _grid(d_values, delay=None) -> np.ndarray:
+    """d_values, a grid or one d, as an int64 array.  The integers are read
+    by value, whatever their type.  A ValueError rejects a d that is not an
+    integer, then a largest d whose n = d - delay + 1 is at 2^62 or past,
+    where the expiration kernels' level tables stop (checked only given
+    their delay), then a negative d, then a largest d past int64.  An int64
+    array is returned as it is, not copied."""
+    d = np.asarray(d_values)
+    if d.dtype.kind not in "biu":
+        with np.errstate(invalid="ignore"):     # inf % 1 is NaN
+            fractional = d[np.mod(d, 1) != 0]
+        if fractional.size:
+            raise ValueError(f"d must be an integer, got {fractional.flat[0]}")
+    d_min, d_max = int(d.min(initial=0)), int(d.max(initial=0))
     if delay is not None and d_max - delay + 1 >= 1 << 62:
         raise ValueError("d - delay + 1 must be below 2^62, got "
                          f"{d_max - delay + 1}")
@@ -192,20 +201,6 @@ def _check_d(d_min: int, d_max: int, delay=None) -> None:
         raise ValueError(f"d must be nonnegative, got {d_min}")
     if d_max >= 1 << 63:
         raise ValueError(f"d must be below 2^63, got {d_max}")
-
-
-def _grid(d_values, delay=None) -> np.ndarray:
-    """d_values as an int64 array.  A d that is not an integer is a
-    ValueError; the integers are read by value, whatever their type, and
-    checked by _check_d.  An int64 array is returned as it is, not
-    copied."""
-    d = np.asarray(d_values)
-    if d.dtype.kind not in "biu":
-        with np.errstate(invalid="ignore"):     # inf % 1 is NaN
-            fractional = d[np.mod(d, 1) != 0]
-        if fractional.size:
-            raise ValueError(f"d must be an integer, got {fractional.flat[0]}")
-    _check_d(int(d.min(initial=0)), int(d.max(initial=0)), delay)
     return d.astype(np.int64, copy=False)
 
 
@@ -305,15 +300,15 @@ def empirical_loss_expiration(d: int, params: MechanismParams,
 def empirical_loss_curve(params: MechanismParams, d_values,
                          t_max: int) -> PrivacyLossCurve:
     """empirical_loss_expiration at every d of a grid, a block at a time."""
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    t_max = _integer("t_max", t_max, 1)
     return PrivacyLossCurve(d_values, _over_grid(
         d_values, lambda e: params.epsilon * _worst_decomposition_costs(
             e + 1, t_max, params), params.delay))
 
 
-def _baseline_tree_maxima(params: BaselineParams, d_values, horizon: int):
-    """The two candidate worst cases of the baseline at every d of a grid.
+def _baseline_tree_maxima(params: BaselineParams, d, horizon: int):
+    """The two candidate worst cases of the baseline at every d of an int64
+    array.
 
     An input at round position s <= width = min(window, horizon) is charged
     for every tree node containing s that ends inside the window by time
@@ -344,11 +339,8 @@ def _baseline_tree_maxima(params: BaselineParams, d_values, horizon: int):
     Returns (p, tree_p, tree_next) per d; tree_next is -1 where no
     position has past p+1.
     """
-    d = np.asarray(d_values, dtype=np.int64)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     w = params.window
-    width = min(w, horizon)
+    width = min(w, _integer("horizon", horizon, 1))
 
     def levels_up_to(x):
         # #{l < k : 2^l <= x}
@@ -404,7 +396,8 @@ def simple_loss_curve(params: MechanismParams, d_values,
                       horizon: int) -> PrivacyLossCurve:
     """Worst-case loss of the composition counter (SimpleCounter) at every
     d of a grid: an input is in d fresh-draw releases, each at epsilon, so
-    eps * d (horizon is not read)."""
+    eps * d (horizon is only checked, as the other curves check it)."""
+    _integer("horizon", horizon, 1)
     return PrivacyLossCurve(d_values, _over_grid(
         d_values, lambda d: params.epsilon * d))
 
@@ -435,8 +428,8 @@ def coupling_shift(counter, ledger: dict, j: int, tau: int, y,
     key's budget per unit of shift is the inverse scale of its Laplace draw;
     the cost is |y| times their sum, in the budgets' numeric type.
     """
-    if not 1 <= j <= tau:
-        raise ValueError(f"need 1 <= j <= tau, got j={j}, tau={tau}")
+    j = _integer("j", j, 1)
+    tau = _integer("tau", tau, j)
     if not abs(y) <= 1:
         raise ValueError(f"|y| must be <= 1, got {y!r}")
     rule = counter.coupling_keys(params, j, tau)
@@ -456,11 +449,11 @@ def verify_coupling(counter, x, x_prime, j: int, tau: int, params,
     replays x on the ledger and x_prime on the shifted one, in exact
     rationals: "identical" means bit-identical, not within rounding.
     """
+    j = _integer("j", j, 1)
+    tau = _integer("tau", tau, j)
     x, x_prime = list(x), list(x_prime)
     if len(x) != tau or len(x_prime) != tau:
         raise ValueError("both streams must have exactly tau entries")
-    if not 1 <= j <= tau:
-        raise ValueError(f"need 1 <= j <= tau, got j={j}")
     diffs = [i for i, (a, b) in enumerate(zip(x, x_prime), start=1) if a != b]
     if diffs not in ([], [j]):
         raise ValueError(f"streams differ at positions {diffs}, expected only {j}")
@@ -509,10 +502,13 @@ def lower_bound_check(T: int, C: int, epsilon: float,
 
     A mechanism with additive error at most C (with constant probability)
     cannot have too small a privacy-loss envelope: the first 2C elapsed
-    times must carry total loss at least log(T/(6C))/eps.
+    times must carry total loss at least log(T/(6C))/eps.  C and T must be
+    integers with 0 < C < T/2, and epsilon positive and finite
+    (ValueError).
     """
-    if not 0 < C < T / 2:
-        raise ValueError(f"need 0 < C < T/2, got C={C}, T={T}")
+    C = _integer("C", C, 1)
+    T = _integer("T", T, 2 * C + 1)
+    _check_positive(epsilon=epsilon)
     log_term = math.log(T / (6.0 * C))
     env = curve.envelope_at(np.arange(2 * C))
     lhs = float(env.sum())

@@ -939,6 +939,19 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             lower_bound_check(100, 50, eps, curve)
 
+    @pytest.mark.parametrize("eps,message", [
+        (0.0, "epsilon must be positive, got 0.0"),
+        (-1.0, "epsilon must be positive, got -1.0"),
+        (math.nan, "epsilon must be finite, got nan"),
+        (math.inf, "epsilon must be finite, got inf")])
+    def test_rejects_a_bad_epsilon(self, eps, message):
+        # MechanismParams' rule and messages
+        curve = self.make_curve(1.0, 100)
+        for check in (MechanismParams, lambda e: lower_bound_check(100, 10, e,
+                                                                   curve)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check(eps)
+
     def test_curve_must_start_at_zero(self):
         late = PrivacyLossCurve(np.arange(1, 100), np.ones(99))
         with pytest.raises(ValueError,

@@ -88,6 +88,20 @@ key_parts = st.one_of(st.integers(0, 2**64 - 1),
 
 
 class TestArrayLane:
+    def test_rejects_non_integer_indices(self):
+        # the scalar lane's key sum raises on a float part, 2.0 too
+        for part in (2.7, 2.0):
+            with pytest.raises(TypeError):
+                prf_uniform(5, (2, part))
+        for indices in (np.array([2.7]), np.array([1.0, 2.0])):
+            with pytest.raises(ValueError,
+                               match="^indices must be integers, got float64$"):
+                prf_uniform_array(5, (2,), indices)
+
+    def test_negative_indices_wrap_as_in_the_scalar_lane(self):
+        assert prf_uniform(5, (2, 2**64 - 3)) == \
+            prf_uniform_array(5, (2,), np.array([-3]))[0]
+
     @given(st.one_of(st.sampled_from([0, 2**64 - 1]),
                      st.integers(0, 2**64 - 1)),
            st.sampled_from([(), (1,), (3,), (2, 7), (2**64 - 1, 0)]),
@@ -196,6 +210,21 @@ class TestLaplaceSample:
         kept = us.copy()
         laplace_sample_array(2.5, us)
         assert np.array_equal(us, kept)
+
+    @pytest.mark.parametrize("scale,u,message", [
+        (-1.0, 0.3, "scale must be positive, got -1.0"),
+        (0.0, 0.3, "scale must be positive, got 0.0"),
+        (1.0, 0.0, r"uniform must lie strictly in \(0,1\), got 0\.0"),
+        (1.0, 1.0, r"uniform must lie strictly in \(0,1\), got 1\.0"),
+        (1.0, math.nan, r"uniform must lie strictly in \(0,1\), got nan")])
+    def test_array_rejects_what_the_scalar_rejects(self, scale, u, message):
+        for lane in (lambda v: laplace_sample(scale, v),
+                     lambda v: laplace_sample_array(scale, np.array([0.5, v])),
+                     lambda v: laplace_sample_array(scale, np.array([v, 0.5]))):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                lane(u)
+        with pytest.raises(ValueError, match="^scale must be positive"):
+            laplace_sample_array(0.0, np.array([]))
 
     def test_array_matches_scalar(self):
         us = np.linspace(0.01, 0.99, 101)
