@@ -21,9 +21,10 @@ for an input change at j seen up to time tau, the noise keys to shift, each
 with its budget per unit of shift (see privacy_audit.coupling_shift).
 
 Mechanisms take no horizon: streams are unbounded, every counter's state is
-O(delay + log t), and noise upkeep is amortized O(1) per step (expiration
-level l is redrawn every 2^l steps; the baseline draws one tree node per step
-plus one past draw per round).
+O(delay + log t), and no step draws more than four noise values (the
+expiration counter draws a deep level's next value ahead, in the middle of
+its current span; the baseline draws one tree node per step plus one past
+draw per round).
 
 Each counter also has a numpy runner that yields its releases a block of
 steps at a time, bit for bit equal to step: lagged_releases for the first
@@ -243,11 +244,18 @@ class _LaggedCounter:
 
     schedule(params) lists (key prefix, scale) for levels 0, 1, ... in
     summation order; level l's draw at p is keyed prefix + (p >> l,).
-    State: the last `lag` inputs, the prefix through p and one live draw
-    per level.  Stepping redraws exactly the levels whose draw p starts
-    (levels 0..nu2(p), nu2 = number of trailing zero bits, up to the
-    schedule's last), so P released positions take sum_l floor(P / 2^l)
-    draws: 2P - popcount(P) at most.
+    Position p starts the draw of levels 0..low - 1, low = nu2(p) + 1 (nu2
+    = number of trailing zero bits, up to the schedule's last level).
+    Levels 0..2 are drawn then.  A deeper level's value was drawn ahead:
+    at p = 0 mod 4, p is the middle of level low's span, and step draws
+    level low's next value, prefix + ((p >> low) + 1,), which goes live
+    2^(low-1) positions later.  So odd positions draw 1 value, p = 2 mod 4
+    draw 2, and p = 0 mod 4 draw 4; each key is drawn once.
+    State, O(lag + log p): the last `lag` inputs, the prefix through p, one
+    live draw per level and at most one value drawn ahead per level.
+    redraws counts the draws made, ahead ones included: through position P,
+    sum of floor(P / 2^l) over levels l <= 2, plus one per multiple of 4
+    whose level low exists; 2P at most.
     """
 
     def __init__(self, params, noise):
@@ -259,10 +267,14 @@ class _LaggedCounter:
         self._prefix = 0            # sum of x_1..x_p
         self._buffer = deque()      # the lag most recent inputs
         self._active = {}           # level -> live noise value
+        self._ahead = {}            # level -> its next value, drawn ahead
 
     @property
     def redraws(self) -> int:
-        return sum(self._position >> lvl for lvl in range(len(self._levels)))
+        """Noise draws made so far, values drawn ahead included."""
+        p, levels = self._position, len(self._levels)
+        ahead = (p >> 2) - (p >> (levels - 1)) if levels > 2 else 0
+        return sum(p >> lvl for lvl in range(min(levels, 3))) + ahead
 
     @property
     def active_noise_count(self) -> int:
@@ -281,10 +293,16 @@ class _LaggedCounter:
             x = self._buffer.popleft()
         p = self._position = self._position + 1
         self._prefix = self._prefix + x
-        # the levels whose draw starts at p: 0..nu2(p)
-        for lvl, (key, scale) in enumerate(
-                self._levels[:(p & -p).bit_length()]):
-            self._active[lvl] = self.noise.draw(key + (p >> lvl,), scale)
+        # the levels whose draw starts at p: 0..low - 1, low = nu2(p) + 1;
+        # from level 3 on, the value was drawn ahead
+        low = (p & -p).bit_length()
+        for lvl, (key, scale) in enumerate(self._levels[:low]):
+            self._active[lvl] = (self._ahead.pop(lvl) if lvl > 2 else
+                                 self.noise.draw(key + (p >> lvl,), scale))
+        if 2 < low < len(self._levels):
+            # p is the middle of level low's span: draw its next value
+            key, scale = self._levels[low]
+            self._ahead[low] = self.noise.draw(key + ((p >> low) + 1,), scale)
         # live noise summed in level order (plain_sum's fold, inline on this
         # hot path), then added to the prefix, as lagged_releases does
         noise = 0

@@ -178,8 +178,8 @@ def laplace_sample(scale: float, uniform: float) -> float:
     """
     if not 0.0 < uniform < 1.0:
         raise ValueError(f"uniform must lie strictly in (0,1), got {uniform}")
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     c = uniform - 0.5
     if c == 0.0:
         return 0.0
@@ -264,8 +264,8 @@ def concentration_threshold(scales, beta: float) -> float:
     bs = list(scales)
     if not bs:
         raise ValueError("scales must be nonempty")
-    if any(b <= 0 for b in bs):
-        raise ValueError("all scales must be positive")
+    if not all(0.0 < b < math.inf for b in bs):
+        raise ValueError("all scales must be positive and finite")
     log_term = math.log(2.0 / beta)
     nu = max(math.sqrt(plain_sum(b * b for b in bs)),
              max(bs) * math.sqrt(log_term))

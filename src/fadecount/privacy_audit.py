@@ -188,6 +188,9 @@ def _grid(d_values, delay=None) -> np.ndarray:
     their delay), then a negative d, then a largest d past int64.  An int64
     array is returned as it is, not copied."""
     d = np.asarray(d_values)
+    if d.dtype.kind not in "biufO":     # a string, a date, ...: no number
+        raise ValueError("d must be an integer, got "
+                         f"{d.item(0) if d.size else d.dtype!r}")
     if d.dtype.kind not in "biu":
         with np.errstate(invalid="ignore"):     # inf % 1 is NaN
             fractional = d[np.mod(d, 1) != 0]

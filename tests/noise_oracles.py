@@ -9,6 +9,10 @@
 * ``step_loop_run``: ``fadecount run`` writes its CSV a block of rows at a
   time from the vectorized noise kernels; the loop of one ``step`` and one
   f-string per row that it replaced lives here, unchanged.
+* ``AmortizedExpirationCounter``: the package's lagged step draws a deep
+  level's next value ahead, in the middle of its span, so no step draws
+  more than four values; the step that redrew levels 0..nu2(p) at position
+  p, up to 63 draws in one step, lives here, unchanged.
 
 The tests hold the package's paths to these, bit for bit (``run``'s CSV
 byte for byte).
@@ -18,7 +22,8 @@ import numpy as np
 
 from fadecount.dyadic import floor_log2
 from fadecount.mechanisms import (DOMAIN_INTERVAL, DOMAIN_PAST, DOMAIN_TREE,
-                                  BaselineCounter, _check_input)
+                                  BaselineCounter, ExpirationCounter,
+                                  _check_input)
 from fadecount.noise import laplace_sample_array, prf_uniform_array
 
 
@@ -82,6 +87,31 @@ class WalkBaselineCounter(BaselineCounter):
                 out = out + self._tree[key]
                 start += 1 << lvl
         return out
+
+
+class AmortizedExpirationCounter(ExpirationCounter):
+    """ExpirationCounter with its earlier step: release position p redraws
+    every level whose draw p starts, levels 0..nu2(p), when it goes live."""
+
+    def step(self, x):
+        x = _check_input(x)
+        if self._lag:
+            self._buffer.append(x)
+            if len(self._buffer) <= self._lag:
+                return 0
+            x = self._buffer.popleft()
+        p = self._position = self._position + 1
+        self._prefix = self._prefix + x
+        # the levels whose draw starts at p: 0..nu2(p)
+        for lvl, (key, scale) in enumerate(
+                self._levels[:(p & -p).bit_length()]):
+            self._active[lvl] = self.noise.draw(key + (p >> lvl,), scale)
+        # live noise summed in level order (plain_sum's fold, inline on this
+        # hot path), then added to the prefix, as lagged_releases does
+        noise = 0
+        for z in self._active.values():
+            noise = noise + z
+        return self._prefix + noise
 
 
 def step_loop_run(fh, counter, xs) -> None:

@@ -369,6 +369,13 @@ class TestGridDriver:
         got, want = (getattr(got, "loss", got), getattr(want, "loss", want))
         assert got.tolist() == want.tolist()
 
+    def test_string_d_is_an_error(self):
+        # a d that is no number is named before numpy's mod sees it
+        with pytest.raises(ValueError, match="^d must be an integer, got '5'$"):
+            exact_loss_bound('5', MechanismParams(1.0))
+        with pytest.raises(ValueError, match="^d must be an integer, got '1'$"):
+            empirical_loss_curve(MechanismParams(1.0), ['1', '2'], 10)
+
     def test_negative_d_past_int64_is_an_error(self):
         with pytest.raises(ValueError, match=r"^d must be nonnegative, got "
                            f"{-2**63 - 1}$"):

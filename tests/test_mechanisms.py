@@ -24,7 +24,8 @@ from fadecount.mechanisms import (DOMAIN_INTERVAL, DOMAIN_PAST, DOMAIN_STEP,
                                   run_expiration)
 from fadecount.noise import keyed_noise, prf_uniform, prf_uniform_array
 from fadecount.privacy_audit import published_loss_bound
-from noise_oracles import WalkBaselineCounter, gather_noise_totals
+from noise_oracles import (AmortizedExpirationCounter, WalkBaselineCounter,
+                           gather_noise_totals)
 
 streams = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1,
                    max_size=120)
@@ -316,13 +317,43 @@ class TestExpirationCounter:
     def test_state_bounds_and_redraw_count(self):
         T = 4096
         c = ExpirationCounter(MechanismParams(1.0, 1.0, 0), SeededNoise(1))
-        expected_redraws = 0
         for t in range(1, T + 1):
             c.step(0.0)
-            expected_redraws += (t & -t).bit_length()  # nu2(t) + 1
             assert c.active_noise_count == floor_log2(t) + 1
-        assert c.redraws == expected_redraws
         assert c.redraws <= 2 * T
+
+    @pytest.mark.parametrize("counter,params", [
+        (SimpleCounter, MechanismParams(1.0)),
+        (ExpirationCounter, MechanismParams(1.0, 1.0, 0)),
+        (ExpirationCounter, MechanismParams(1.0, 1.0, 3))])
+    def test_redraws_counts_every_draw(self, counter, params):
+        # values drawn ahead included, at every step
+        source = Listing()
+        c = counter(params, source)
+        for _ in range(4096):
+            c.step(0.0)
+            assert c.redraws == len(source.list)
+
+    @given(streams, st.integers(0, 2**64 - 1), st.integers(0, 5),
+           st.sampled_from([0.0, 1.0, 2.5]))
+    @settings(max_examples=50)
+    def test_step_equals_the_amortized_oracle(self, xs, seed, delay, lam):
+        # drawing ahead changes when a value is drawn, never which value a
+        # release sums
+        params = MechanismParams(0.8, lam, delay)
+        ahead, amortized = (RecordingNoise(SeededNoise(seed)) for _ in range(2))
+        c = ExpirationCounter(params, ahead)
+        oracle = AmortizedExpirationCounter(params, amortized)
+        assert [c.step(x) for x in xs] == [oracle.step(x) for x in xs]
+        assert amortized.ledger.keys() <= ahead.ledger.keys()
+        assert all(ahead.ledger[k] == v for k, v in amortized.ledger.items())
+
+    def test_long_stream_equals_the_amortized_oracle(self):
+        params = MechanismParams(0.5, 2.0, 16)
+        c = ExpirationCounter(params, SeededNoise(3))
+        oracle = AmortizedExpirationCounter(params, SeededNoise(3))
+        xs = np.random.default_rng(4).random((1 << 14) + 16).tolist()
+        assert [c.step(x) for x in xs] == [oracle.step(x) for x in xs]
 
     def test_buffer_never_exceeds_delay(self):
         delay = 7
@@ -364,9 +395,11 @@ class TestSchedule:
             assert lag == params.delay
             assert levels == [((DOMAIN_INTERVAL, lvl), params.level_scale(lvl))
                               for lvl in range(63)]
-        # after `lag` silent steps, position p redraws every level whose
-        # span 2^l divides p, in level order, keyed by the level's prefix
-        # and p >> l
+        # after `lag` silent steps, position p draws every level l <= 2
+        # whose span 2^l divides p, in level order, keyed by the level's
+        # prefix and p >> l; then, at p = (2i + 1) * 2^(l - 1) for a level
+        # l >= 3, the middle of the level's span i, its next value, keyed
+        # i + 1
         source = Listing()
         c = counter(params, source)
         want = []
@@ -375,9 +408,36 @@ class TestSchedule:
             p = t - lag
             if p >= 1:
                 want += [(key + (p >> lvl,), scale)
-                         for lvl, (key, scale) in enumerate(levels)
+                         for lvl, (key, scale) in enumerate(levels[:3])
                          if p % (1 << lvl) == 0]
+                want += [(key + ((p >> lvl) + 1,), scale)
+                         for lvl, (key, scale) in enumerate(levels)
+                         if lvl >= 3 and p % (1 << lvl) == 1 << (lvl - 1)]
             assert source.list == want
+
+    @pytest.mark.parametrize("make,steps,most", [
+        (lambda s: ExpirationCounter(MechanismParams(0.7, 2.0, 0), s),
+         1 << 16, 4),
+        (lambda s: ExpirationCounter(MechanismParams(0.7, 2.0, 16), s),
+         (1 << 16) + 16, 4),
+        (lambda s: SimpleCounter(MechanismParams(0.7), s), 1 << 12, 1),
+        *[(lambda s, w=w: BaselineCounter(BaselineParams(w, 0.7, 0.07), s),
+           1 << 12, 2) for w in (1, 7, 1023)]],
+        ids=["expiration-delay-0", "expiration-delay-16", "simple",
+             "baseline-window-1", "baseline-window-7",
+             "baseline-window-1023"])
+    def test_most_draws_per_step(self, make, steps, most):
+        # the worst step of each counter, and no key drawn twice
+        source = Listing()
+        c = make(source)
+        draws = []
+        for _ in range(steps):
+            before = len(source.list)
+            c.step(0.5)
+            draws.append(len(source.list) - before)
+        assert max(draws) == most
+        keys = [key for key, _ in source.list]
+        assert len(set(keys)) == len(keys)
 
 
 def baseline_reference_step(params, seed, xs, t):

@@ -199,9 +199,12 @@ class TestLaplaceSample:
                 laplace_sample(1.0, bad)
 
     def test_rejects_bad_scale(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^scale must be positive "
+                               f"and finite, got {bad}$"):
                 laplace_sample(bad, 0.3)
+            with pytest.raises(ValueError, match="^scale must be positive"):
+                laplace_sample_array(bad, np.array([0.3]))
 
     def test_array_lanes_leave_inputs_unchanged(self):
         idx = np.arange(1, 1000, dtype=np.uint64)
@@ -212,8 +215,8 @@ class TestLaplaceSample:
         assert np.array_equal(us, kept)
 
     @pytest.mark.parametrize("scale,u,message", [
-        (-1.0, 0.3, "scale must be positive, got -1.0"),
-        (0.0, 0.3, "scale must be positive, got 0.0"),
+        (-1.0, 0.3, "scale must be positive and finite, got -1.0"),
+        (0.0, 0.3, "scale must be positive and finite, got 0.0"),
         (1.0, 0.0, r"uniform must lie strictly in \(0,1\), got 0\.0"),
         (1.0, 1.0, r"uniform must lie strictly in \(0,1\), got 1\.0"),
         (1.0, math.nan, r"uniform must lie strictly in \(0,1\), got nan")])
@@ -294,6 +297,10 @@ class TestTailBounds:
             concentration_threshold([1.0], 1.0)
         with pytest.raises(ValueError):
             concentration_threshold([1.0, -1.0], 0.1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^all scales must be "
+                               "positive and finite$"):
+                concentration_threshold([1.0, bad], 0.1)
 
     def test_threshold_actually_concentrates(self):
         # empirical check that P[|sum| > threshold] is small at beta=0.05
