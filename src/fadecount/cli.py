@@ -10,15 +10,19 @@ Four subcommands:
 * ``figures``   — write the CSV bundle behind one of the reference plots
                   (ids 2a, 2b, 3, 4, 5a, 5b).
 
-Exit codes: 0 success, 1 bad input data, 2 usage errors.  ``audit``,
-``calibrate`` and ``figures`` are fully deterministic (no seed involved);
-``run`` is deterministic for a fixed seed.
+Exit codes: 0 success, 1 bad input data, 2 usage errors, reported on
+stderr and never as a traceback.  An output that cannot be opened, written or closed
+is a usage error on every subcommand, ``figures`` series files included;
+the files written before it stay.  ``audit``, ``calibrate`` and
+``figures`` are fully deterministic (no seed involved); ``run`` is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import functools
 import itertools
 import os
@@ -54,6 +58,11 @@ _TAGS = {"level_exponent": "lambda{:g}", "window": "window{}",
 
 class _InputError(Exception):
     """Bad stream data (exit code 1), as opposed to bad usage (exit code 2)."""
+
+
+class _UsageError(Exception):
+    """Bad usage (exit code 2), as a ValueError or OverflowError of a
+    rejected argument is too."""
 
 
 # parse_args writes into a fresh namespace and leaves the parser as it was,
@@ -173,27 +182,7 @@ def _generate_stream(spec: str, t_max: int, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# usage errors: one line on stderr, exit code 2, no usage block
-
-
-def _usage_error(parser, args, message: str):
-    parser.exit(2, f"{parser.prog} {args.command}: error: {message}\n")
-
-
-def _checked(parser, args, build, *build_args):
-    """build(*build_args), with a rejected argument (ValueError, or an
-    OverflowError of a value past int64) reported as a usage error."""
-    try:
-        return build(*build_args)
-    except (ValueError, OverflowError) as exc:
-        _usage_error(parser, args, str(exc))
-
-
-def _check_d_max(parser, args):
-    # d is int64, and the expiration kernel takes d - delay + 1 < 2^62
-    if args.d_max is not None and not 0 <= args.d_max < 2**62:
-        _usage_error(parser, args,
-                     f"--d-max must be in [0, 2^62), got {args.d_max}")
+# output
 
 
 # rows formatted and written per block, so memory does not grow with the
@@ -214,12 +203,6 @@ def _column_text(column: np.ndarray) -> list:
     return texts[where].tolist()
 
 
-def _write_csv(fh, header: str, columns) -> None:
-    """Write header, then the rows of _write_rows."""
-    fh.write(header + "\n")
-    _write_rows(fh, columns)
-
-
 def _write_rows(fh, columns) -> None:
     """Write one row per index of equal-length numeric columns (int64 or
     float64); a None column is an empty field in every row."""
@@ -233,12 +216,17 @@ def _write_rows(fh, columns) -> None:
         fh.write("".join(map(row.format, *fields)))
 
 
-def _open_output(parser, args):
+@contextlib.contextmanager
+def _output(path: str, header: str):
+    """The file at path, opened for writing, with the CSV header line
+    written.  An OSError from opening, writing or closing it is a usage
+    error; the file is left as it is, since path may be a device."""
     try:
-        return open(args.output, "w")
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            yield fh
     except OSError as exc:
-        _usage_error(parser, args,
-                     f"cannot write {args.output}: {exc.strerror}")
+        raise _UsageError(f"cannot write {path}: {exc.strerror}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,31 +331,35 @@ def mechanism_params(args, horizon=None):
     return (family, *family.params(given, mse, horizon))
 
 
-def cmd_run(args, parser) -> int:
+def _check_d_max(d_max):
+    # d is int64, and the expiration kernel takes d - delay + 1 < 2^62
+    if d_max is not None and not 0 <= d_max < 2**62:
+        raise _UsageError(f"--d-max must be in [0, 2^62), got {d_max}")
+
+
+def cmd_run(args) -> int:
     if (args.input is None) == (args.generator is None):
-        _usage_error(parser, args,
-                     "exactly one of --input / --generator is required")
+        raise _UsageError("exactly one of --input / --generator is required")
     if args.generator is not None and args.t_max is None:
-        _usage_error(parser, args, "--generator needs --t-max")
+        raise _UsageError("--generator needs --t-max")
     if args.t_max is not None and not 1 <= args.t_max < 1 << 62:
-        _usage_error(parser, args, "--t-max must be " + (
+        raise _UsageError("--t-max must be " + (
             ">= 1" if args.t_max < 1 else "below 2^62")
             + f", got {args.t_max}")
     # the PRF keys on 64 bits: a larger seed would alias a smaller one
     if not 0 <= args.seed < 1 << 64:
-        _usage_error(parser, args, "--seed must be " + (
+        raise _UsageError("--seed must be " + (
             ">= 0" if args.seed < 0 else "below 2^64") + f", got {args.seed}")
-    family, params, _, _ = _checked(parser, args, mechanism_params, args)
+    family, params, _, _ = mechanism_params(args)
     if args.input is not None:
         xs = _parse_stream_file(args.input, args.t_max)
     else:
         try:
             xs = _generate_stream(args.generator, args.t_max, args.seed)
         except (ValueError, MemoryError):
-            _usage_error(parser, args, f"--t-max {args.t_max} is too long "
-                         "for --generator: numpy cannot allocate the stream")
-    with _open_output(parser, args) as fh:
-        fh.write("t,true_sum,released,abs_error\n")
+            raise _UsageError(f"--t-max {args.t_max} is too long for "
+                              "--generator: numpy cannot allocate the stream")
+    with _output(args.output, "t,true_sum,released,abs_error") as fh:
         true_sum = 0.0
         blocks = family.releases(params, xs, args.seed, _CSV_BLOCK)
         for lo, released in zip(range(0, len(xs), _CSV_BLOCK), blocks):
@@ -378,30 +370,28 @@ def cmd_run(args, parser) -> int:
     return 0
 
 
-def cmd_audit(args, parser) -> int:
-    _check_d_max(parser, args)
+def cmd_audit(args) -> int:
+    _check_d_max(args.d_max)
     if args.t_max is not None and args.t_max < 1:
-        _usage_error(parser, args, f"--t-max must be >= 1, got {args.t_max}")
+        raise _UsageError(f"--t-max must be >= 1, got {args.t_max}")
     horizon = args.t_max if args.t_max is not None else args.d_max + 1
-    family, params, _, _ = _checked(parser, args, mechanism_params, args,
-                                    horizon)
+    family, params, _, _ = mechanism_params(args, horizon)
     try:
         d_values = np.arange(args.d_max + 1)
     except (ValueError, MemoryError):
-        _usage_error(parser, args, f"--d-max {args.d_max} is too long: "
-                     "numpy cannot allocate the grid")
-    curve = _checked(parser, args, family.loss, params, d_values, horizon)
+        raise _UsageError(f"--d-max {args.d_max} is too long: "
+                          "numpy cannot allocate the grid")
+    curve = family.loss(params, d_values, horizon)
     theoretical = (None if family.bound is None
-                   else _checked(parser, args, family.bound, params, d_values))
-    with _open_output(parser, args) as fh:
-        _write_csv(fh, "d,loss_empirical,loss_envelope,loss_theoretical",
-                   [d_values, curve.loss, curve.envelope, theoretical])
+                   else family.bound(params, d_values))
+    with _output(args.output,
+                 "d,loss_empirical,loss_envelope,loss_theoretical") as fh:
+        _write_rows(fh, [d_values, curve.loss, curve.envelope, theoretical])
     return 0
 
 
-def cmd_calibrate(args, parser) -> int:
-    family, _, cal, ratio = _checked(parser, args, mechanism_params, args,
-                                     args.t_max)
+def cmd_calibrate(args) -> int:
+    family, _, cal, ratio = mechanism_params(args, args.t_max)
     if args.optimal_ratio:
         print(f"ratio = {ratio:.4g} ({ratio!r})")
     for name in _FLAGS:  # the budgets the family reads, calibrated
@@ -425,21 +415,21 @@ def _figure_d_grid(d_max: int) -> np.ndarray:
     return np.array(sorted(ds))
 
 
-def cmd_figures(args, parser) -> int:
+def cmd_figures(args) -> int:
     figure = args.figure
     outdir = args.output
-    _check_d_max(parser, args)
+    _check_d_max(args.d_max)
     T = 10**6 if figure in ("4", "5b") else 10**3
     d_values = _figure_d_grid(T - 1 if args.d_max is None else args.d_max)
     # every series is computed before the directory is made, so a series
-    # that fails leaves nothing behind
+    # that fails leaves nothing behind; a file that cannot be written ends
+    # the bundle there, and the files written before it stay
     files = {}
     for series in _FIGURES[figure]:
         flags = argparse.Namespace(mse=1000.0, **series)
-        family, params, _, _ = _checked(parser, args, mechanism_params,
-                                        flags, T)
+        family, params, _, _ = mechanism_params(flags, T)
         tag = "".join(_TAGS[flag].format(v) for flag, v in series.items())
-        curve = _checked(parser, args, family.loss, params, d_values, T)
+        curve = family.loss(params, d_values, T)
         files[f"fig{figure}_{tag}.csv"] = curve.envelope
         if figure == "2a":
             files[f"fig{figure}_theoretical_{tag}.csv"] = \
@@ -447,10 +437,10 @@ def cmd_figures(args, parser) -> int:
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
-        _usage_error(parser, args, f"cannot create {outdir}: {exc.strerror}")
+        raise _UsageError(f"cannot create {outdir}: {exc.strerror}")
     for name, losses in files.items():
-        with open(os.path.join(outdir, name), "w") as fh:
-            _write_csv(fh, "d,loss", [d_values, losses])
+        with _output(os.path.join(outdir, name), "d,loss") as fh:
+            _write_rows(fh, [d_values, losses])
     return 0
 
 
@@ -460,10 +450,13 @@ def main(argv=None) -> int:
     handler = {"run": cmd_run, "audit": cmd_audit,
                "calibrate": cmd_calibrate, "figures": cmd_figures}[args.command]
     try:
-        return handler(args, parser)
+        return handler(args)
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
+    # a rejected argument: one line on stderr, no usage block
+    except (_UsageError, ValueError, OverflowError) as exc:
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -191,6 +192,10 @@ def _grid(d_values, delay=None) -> np.ndarray:
     if d.dtype.kind not in "biufO":     # a string, a date, ...: no number
         raise ValueError("d must be an integer, got "
                          f"{d.item(0) if d.size else d.dtype!r}")
+    if d.dtype.kind == "O":     # Python ints past int64, Fractions, ...
+        for v in d.flat:
+            if not isinstance(v, numbers.Real):     # a str, None, ...
+                raise ValueError(f"d must be an integer, got {v!r}")
     if d.dtype.kind not in "biu":
         with np.errstate(invalid="ignore"):     # inf % 1 is NaN
             fractional = d[np.mod(d, 1) != 0]

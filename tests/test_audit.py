@@ -375,6 +375,12 @@ class TestGridDriver:
             exact_loss_bound('5', MechanismParams(1.0))
         with pytest.raises(ValueError, match="^d must be an integer, got '1'$"):
             empirical_loss_curve(MechanismParams(1.0), ['1', '2'], 10)
+        # an object grid (ints past int64, Fractions) holding a non-number
+        for ds, bad in (([2**70, '2'], "'2'"), ([Fraction(1), '2'], "'2'"),
+                        (np.array([1, None], dtype=object), "None")):
+            with pytest.raises(ValueError,
+                               match=f"^d must be an integer, got {bad}$"):
+                empirical_loss_curve(MechanismParams(1.0), ds, 10)
 
     def test_negative_d_past_int64_is_an_error(self):
         with pytest.raises(ValueError, match=r"^d must be nonnegative, got "

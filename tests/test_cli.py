@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import errno
 import io
 import os
 import subprocess
@@ -546,24 +548,26 @@ class TestFigures:
 
 class TestCsvWriter:
     @pytest.mark.parametrize("block", range(1, 8))
-    def test_matches_per_element_repr(self, monkeypatch, block):
+    def test_matches_per_element_repr(self, tmp_path, monkeypatch, block):
         monkeypatch.setattr(cli, "_CSV_BLOCK", block)
         ds = np.arange(12, dtype=np.int64) * 7
         # -0.0 and 0.0 in one column, a subnormal, repeats across blocks
         a = np.array([0.0, -0.0, 5e-324, 0.1, 0.0, 1 / 3, -0.0, 1e300,
                       2.5e-310, 0.1, 0.30000000000000004, -7.0])
         b = np.cumsum(a)[::-1].copy()
-        out = io.StringIO()
-        cli._write_csv(out, "d,a,b,none", [ds, a, b, None])
+        out = tmp_path / "out.csv"
+        with cli._output(str(out), "d,a,b,none") as fh:
+            cli._write_rows(fh, [ds, a, b, None])
         want = "d,a,b,none\n" + "".join(
             f"{int(d)},{float(x)!r},{float(y)!r},\n"
             for d, x, y in zip(ds, a, b))
-        assert out.getvalue() == want
+        assert out.read_text() == want
 
-    def test_empty_columns_write_only_the_header(self):
-        out = io.StringIO()
-        cli._write_csv(out, "d,loss", [np.arange(0), np.zeros(0)])
-        assert out.getvalue() == "d,loss\n"
+    def test_empty_columns_write_only_the_header(self, tmp_path):
+        out = tmp_path / "out.csv"
+        with cli._output(str(out), "d,loss") as fh:
+            cli._write_rows(fh, [np.arange(0), np.zeros(0)])
+        assert out.read_text() == "d,loss\n"
 
 
 class TestUsageErrors:
@@ -741,19 +745,142 @@ class TestUsageErrors:
           "--output", "{out}"], "--mse is not read by --mechanism simple"),
         (["audit", "--mechanism", "simple", "--d-max", "3",
           "--output", "{out}"], "--mechanism simple needs --epsilon"),
+        # a series file's name is taken by a directory
+        (["figures", "2a", "--d-max", "50", "--output", "{figs}"],
+         "cannot write {figs}/fig2a_lambda2.csv: Is a directory"),
+        # a device that takes the open and fails the buffered write at close
+        *(pytest.param(argv, "cannot write /dev/full: No space left on device",
+                       marks=pytest.mark.skipif(
+                           not os.path.exists("/dev/full"),
+                           reason="needs a /dev/full device"))
+          for argv in (["run", "--epsilon", "1", "--generator", "zeros",
+                        "--t-max", "10", "--output", "/dev/full"],
+                       ["audit", "--epsilon", "1", "--d-max", "10",
+                        "--output", "/dev/full"])),
     ])
     def test_one_line_and_exit_two(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
         (tmp_path / "file").write_text("")
+        (tmp_path / "figs" / "fig2a_lambda2.csv").mkdir(parents=True)
         paths = {"out": str(out), "missing": str(tmp_path / "no" / "o.csv"),
                  "missing_dir": str(tmp_path / "file" / "figs"),
-                 "file": str(tmp_path / "file")}
+                 "file": str(tmp_path / "file"),
+                 "figs": str(tmp_path / "figs")}
         with pytest.raises(SystemExit) as exc:
             main([a.format(**paths) for a in argv])
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines() == [
             f"fadecount {argv[0]}: error: {message.format(**paths)}"]
         assert not out.exists()
+
+    WRITES = {
+        "run": (["run", "--epsilon", "1", "--generator", "zeros", "--t-max",
+                 "10", "--output", "{out}"], "{out}"),
+        "audit": (["audit", "--epsilon", "1", "--d-max", "10",
+                   "--output", "{out}"], "{out}"),
+        # the bundle's first series file
+        "figures": (["figures", "2a", "--d-max", "50", "--output", "{out}"],
+                    "{out}/fig2a_lambda2.csv"),
+    }
+
+    @pytest.mark.parametrize("cmd", WRITES)
+    def test_failed_write(self, tmp_path, capsys, monkeypatch, cmd):
+        # every file the CLI writes takes a write that fails, as on a full
+        # disk; the files it reads open as before
+        class FullFile(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(
+            cli, "open", lambda path, mode="r": FullFile() if "w" in mode
+            else open(path, mode), raising=False)
+        argv, path = self.WRITES[cmd]
+        paths = {"out": str(tmp_path / "out")}
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(**paths) for a in argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"fadecount {cmd}: error: cannot write {path.format(**paths)}: "
+            "No space left on device"]
+
+
+# the exit-code contract under fuzzing: argv of every subcommand with valid
+# and invalid values, sizes up to 2^12, and outputs that can and cannot be
+# written; "{d}" stands for a fresh work directory
+_FUZZ_VALUES = {
+    "--mechanism": ["simple", "log", "expiration", "baseline"],
+    "--epsilon": ["1", "0", "-1", "nan", "1e308"],
+    "--lambda": ["2", "2000", "nan"],
+    "--delay": ["3", "-1", "5000", "x"],
+    "--window": ["4", "0", "4097"],
+    "--eps-cur": ["1", "inf"],
+    "--eps-past": ["0.1", "1e-320"],
+    "--ratio": ["0.2", "1e-320"],
+    "--mse": ["1000", "nan", "-1"],
+    "--seed": ["5", "-1", "18446744073709551616"],
+    "--t-max": ["64", "0"],
+    "--optimal-ratio": [None],
+}
+_MECH_FLAGS = ["--mechanism", "--epsilon", "--lambda", "--delay", "--window",
+               "--eps-cur", "--eps-past"]
+_FUZZ_FLAGS = {
+    "run": _MECH_FLAGS + ["--seed"],
+    "audit": _MECH_FLAGS + ["--ratio", "--mse", "--t-max"],
+    "calibrate": ["--lambda", "--delay", "--window", "--ratio",
+                  "--optimal-ratio"],
+    "figures": [],
+}
+_FUZZ_SOURCES = [["--generator", g] for g in
+                 ("zeros", "bernoulli(0.5)", "bernoulli(2)", "bogus")] + [
+    ["--input", f"{{d}}/{name}"] for name in ("xs.txt", "bad.txt", "no/xs")]
+_FULL = ["/dev/full"] * os.path.exists("/dev/full")
+# the first series file of each figure: the "taken" bundle directory holds
+# a directory by each name
+_FIRST_SERIES = ["fig2a_lambda2.csv", "fig2b_lambda1.csv", "fig3_window31.csv",
+                 "fig4_lambda1.csv", "fig5a_window31_optratio.csv",
+                 "fig5b_lambda1.csv"]
+
+
+@st.composite
+def _cli_argv(draw):
+    cmd = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    size = str(draw(st.integers(-1, 1 << 12)))
+    if cmd == "figures":
+        return ["figures", draw(st.sampled_from(sorted(cli._FIGURES))),
+                "--d-max", size, "--output", draw(st.sampled_from(
+                    ["{d}/figs", "{d}/file", "{d}/taken", *_FULL]))]
+    argv = {"run": ["run", "--epsilon", "1", "--t-max", size,
+                    *draw(st.sampled_from(_FUZZ_SOURCES))],
+            "audit": ["audit", "--epsilon", "1", "--d-max", size],
+            "calibrate": ["calibrate", "--mse", "1000", "--t-max", size]}[cmd]
+    if cmd != "calibrate":
+        argv += ["--output", draw(st.sampled_from(
+            ["{d}/out.csv", "{d}/no/out.csv", "{d}", *_FULL]))]
+    for flag in draw(st.lists(st.sampled_from(_FUZZ_FLAGS[cmd]), max_size=3)):
+        value = draw(st.sampled_from(_FUZZ_VALUES[flag]))
+        argv += [flag] + ([] if value is None else [value])
+    return argv
+
+
+@given(_cli_argv())
+@settings(max_examples=100, deadline=None)
+def test_every_argv_exits_zero_one_or_two(argv):
+    with tempfile.TemporaryDirectory() as d:
+        for name in _FIRST_SERIES:
+            os.makedirs(os.path.join(d, "taken", name))
+        for name, text in (("file", ""), ("xs.txt", "0.5\n1\n0\n"),
+                           ("bad.txt", "0.5\n2\n")):
+            with open(os.path.join(d, name), "w") as fh:
+                fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main([a.format(d=d) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert (code == 0) == (err.getvalue() == "")
 
 
 @pytest.mark.parametrize("argv", [

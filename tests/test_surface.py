@@ -1,6 +1,7 @@
 """The package's public surface: every name in fadecount.__all__ resolves,
 the names that only the tests called stay deleted, only noise.py knows how
-a key becomes a draw, and every integral parameter is read by one rule."""
+a key becomes a draw, every integral parameter is read by one rule, and
+the CLI has one exit path and one output path."""
 
 import ast
 import inspect
@@ -25,7 +26,7 @@ from fadecount import (BaselineCalibration, BaselineCounter, BaselineParams,
                        lower_bound_check, optimal_ratio, popcount_total,
                        published_loss_bound, run_expiration,
                        simple_loss_curve, verify_coupling)
-from fadecount import calibration, dyadic, mechanisms, noise
+from fadecount import calibration, cli, dyadic, mechanisms, noise
 
 SOURCES = Path(fadecount.__file__).parent
 # the PRF's constants and in-place stages: every other module reaches them
@@ -64,6 +65,9 @@ def test_deleted_names_stay_gone():
     # a DyadicInterval is a plain tuple again: `in` tests (level, index)
     assert "__contains__" not in vars(dyadic.DyadicInterval)
     assert not hasattr(calibration.BaselineCalibration, "ratio")
+    # the CLI's exit and output helpers that main and _output replaced
+    for name in ("_usage_error", "_checked", "_open_output", "_write_csv"):
+        assert not hasattr(cli, name)
 
 
 def test_only_noise_turns_keys_into_draws():
@@ -73,6 +77,39 @@ def test_only_noise_turns_keys_into_draws():
         if path.name != "noise.py":
             assert not PRF_INTERNALS & names_in(path), path.name
     assert "_laplace_of_keys" not in names_in(SOURCES / "mechanisms.py")
+
+
+def calls_by_function(path: Path) -> dict:
+    """Each top-level function of a module, by name: the calls in its body,
+    nested functions included."""
+    return {node.name: [call for call in ast.walk(node)
+                        if isinstance(call, ast.Call)]
+            for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def writes_a_file(call: ast.Call) -> bool:
+    """An open() call whose mode is not a constant read mode."""
+    if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
+        return False
+    mode = (call.args[1:2] or [k.value for k in call.keywords
+                                if k.arg == "mode"])
+    return bool(mode) and not (isinstance(mode[0], ast.Constant)
+                               and set(mode[0].value) <= set("rbt"))
+
+
+def test_cli_has_one_exit_path_and_one_output_path():
+    # only main turns an error into an exit code, and only _output opens a
+    # file for writing
+    exits, writes = set(), set()
+    for name, calls in calls_by_function(SOURCES / "cli.py").items():
+        for call in calls:
+            if (isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "exit"):
+                exits.add(name)
+            if writes_a_file(call):
+                writes.add(name)
+    assert exits == {"main"} and writes == {"_output"}
 
 
 def test_mechanisms_imports_only_what_it_uses():
