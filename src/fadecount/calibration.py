@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mechanisms import (BaselineParams, ExpirationCounter, MechanismParams,
-                         _check_positive)
-from .noise import _integer, concentration_threshold
+from .mechanisms import BaselineParams, ExpirationCounter, MechanismParams
+from .noise import _integer, _real, concentration_threshold
 
 _REL_TOL = 1e-9
 
@@ -81,11 +80,13 @@ def analytic_mse_baseline(params: BaselineParams, T: int) -> float:
 class _HitsTarget:
     """A calibration's result, which must hit its target_mse: achieved_mse
     within a relative _REL_TOL of it, else a ValueError.  The horizon is
-    stored as the Python int _integer reads."""
+    stored as the Python int _integer reads, every other field (budgets and
+    MSEs, each positive) as _real reads it."""
 
     def __post_init__(self):
-        object.__setattr__(self, "horizon",
-                           _integer("horizon", self.horizon, 1))
+        for name, value in dict(vars(self)).items():
+            object.__setattr__(self, name, _integer(name, value, 1)
+                               if name == "horizon" else _real(name, value))
         rel = abs(self.achieved_mse - self.target_mse) / self.target_mse
         if rel > _REL_TOL:
             raise ValueError(
@@ -116,7 +117,7 @@ class BaselineCalibration(_HitsTarget):
 def calibrate_epsilon(target_mse: float, T: int, level_exponent: float = 1.0,
                       delay: int = 0) -> CalibrationResult:
     """Find eps with analytic_mse_expiration == target_mse (closed form)."""
-    _check_positive(target_mse=target_mse)
+    target_mse = _real("target_mse", target_mse)
     unit = analytic_mse_expiration(
         MechanismParams(1.0, level_exponent, delay), T)
     if unit == 0.0:
@@ -130,7 +131,7 @@ def calibrate_epsilon(target_mse: float, T: int, level_exponent: float = 1.0,
 def calibrate_baseline(target_mse: float, T: int, window: int,
                        ratio: float) -> BaselineCalibration:
     """Find (eps_cur, eps_past = ratio * eps_cur) hitting target_mse."""
-    _check_positive(target_mse=target_mse, ratio=ratio)
+    target_mse, ratio = _real("target_mse", target_mse), _real("ratio", ratio)
     # at unit eps_cur the past draws' variance is a sum over ratio^2, which
     # has no float value once ratio^2 underflows to 0 or the sum overflows
     unit = (analytic_mse_baseline(BaselineParams(window, 1.0, ratio), T)

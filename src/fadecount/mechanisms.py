@@ -34,8 +34,9 @@ Counters are deliberately generic over the numeric type of the inputs and of
 the noise values handed to them: run them with floats for production, or
 with exact rationals (``fractions.Fraction``) when replaying a run whose
 outputs must be compared bit-for-bit.  Nothing in the update path forces a
-float coercion; only numpy floating inputs are turned into Python floats,
-which is exact.
+float coercion; only numpy floating inputs, and numpy numbers given as
+parameters (read by noise._real and noise._integer), are turned into Python
+numbers, which is exact.
 """
 
 from __future__ import annotations
@@ -49,30 +50,14 @@ import numpy as np
 
 from .dyadic import decompose, floor_log2
 from .noise import (_MASK64, _check_seed, _integer, _key_offsets,
-                    _keyed_laplace_into, keyed_noise, laplace_sample_array,
-                    prf_uniform_array)
+                    _keyed_laplace_into, _real, keyed_noise,
+                    laplace_sample_array, prf_uniform_array)
 
 # key domains, so draws of different kinds can never collide
 DOMAIN_INTERVAL = 1   # (DOMAIN_INTERVAL, level, index)         interval noise
 DOMAIN_STEP = 2       # (DOMAIN_STEP, step)                     per-step noise
 DOMAIN_TREE = 3       # (DOMAIN_TREE, round, level, node)       baseline tree
 DOMAIN_PAST = 4       # (DOMAIN_PAST, round)                    baseline past
-
-
-def _check_finite(**values):
-    """Reject a NaN or infinite parameter, by name (ValueError)."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _check_positive(**values):
-    """Reject a parameter that is not finite, then one that is not positive,
-    by name (ValueError)."""
-    _check_finite(**values)
-    for name, value in values.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _check_scale(name: str, given: str, compute, *args):
@@ -98,8 +83,10 @@ class MechanismParams:
                     1.0 gives every level the same scale; larger values
                     shrink noise on coarse levels at the price of faster
                     privacy-loss growth, and 0 is allowed.
-    delay           number of initial steps released as exact 0 (>= 0),
-                    stored as the Python int _integer reads
+    delay           number of initial steps released as exact 0 (>= 0)
+
+    Each is stored as its reader returns it: epsilon and level_exponent as
+    _real reads them, delay as the Python int _integer reads.
     """
 
     epsilon: float
@@ -107,11 +94,9 @@ class MechanismParams:
     delay: int = 0
 
     def __post_init__(self):
-        _check_positive(epsilon=self.epsilon)
-        _check_finite(level_exponent=self.level_exponent)
-        if self.level_exponent < 0:
-            raise ValueError(
-                f"level_exponent must be nonnegative, got {self.level_exponent}")
+        object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon))
+        object.__setattr__(self, "level_exponent", _real(
+            "level_exponent", self.level_exponent, "nonnegative"))
         object.__setattr__(self, "delay", _integer("delay", self.delay))
         # levels 0 and 62 are the ends of the kernels' level range, and each
         # is monotone in the level, so these bound every level between
@@ -153,7 +138,7 @@ class MechanismParams:
 @dataclass(frozen=True)
 class BaselineParams:
     """Windowed-baseline parameters: window length (stored as the Python
-    int _integer reads) and the two budgets."""
+    int _integer reads) and the two budgets (stored as _real reads them)."""
 
     window: int
     eps_cur: float
@@ -164,7 +149,8 @@ class BaselineParams:
         # the loss kernel sums up to 2 * window - 1 in int64
         if self.window > 1 << 62:
             raise ValueError(f"window must be at most 2^62, got {self.window}")
-        _check_positive(eps_cur=self.eps_cur, eps_past=self.eps_past)
+        for name in ("eps_cur", "eps_past"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         # the scales BaselineCounter draws at
         _check_scale("tree_depth/eps_cur",
                      f"window {self.window}, eps_cur {self.eps_cur!r}",

@@ -19,10 +19,15 @@ with a scale per slice.  prf_uniform_array and laplace_sample_array are the
 same lane in two public steps.  Every lane gives a key the same value, bit
 for bit.
 
-_integer is the package's one reader of a scalar integral parameter (a
-seed, a delay, a window, a horizon, ...): it reads the value whatever its
-type and names the parameter when the value is no integer or too small.
-Grids of d are read by privacy_audit._grid, by the same rule.
+Two readers take every scalar parameter of the package, whatever its
+type, and name the parameter in the ValueError for a value they reject.
+_integer reads an integral one (a seed, a delay, a window, a horizon, ...)
+and rejects a value that is no integer or is too small; grids of d are
+read by privacy_audit._grid, by the same rule.  _real reads a real one (a
+budget, a level exponent, a scale, a target MSE, ...) as step reads an
+input: numpy numbers become Python numbers, and ints, floats and Fractions
+pass unchanged.  It rejects any other type, a NaN, an infinity and a value
+outside the parameter's range.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 
@@ -76,6 +82,29 @@ def _integer(name: str, value, low=0) -> int:
         return int(value)
     raise ValueError(f"{name} must be "
                      f"{_KINDS.get(low, f'an integer >= {low}')}, got {value!r}")
+
+
+# _real's kinds, each with the test a value of that kind passes
+_RANGES = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0,
+           "in (0, 1)": lambda v: 0 < v < 1,
+           "in [-1, 1]": lambda v: -1 <= v <= 1}
+
+
+def _real(name: str, value, kind: str = "positive"):
+    """value as a Python number: a numpy number becomes its Python value,
+    exactly (a long double, which has none, stays and is rejected), and an
+    int, a float or a Fraction passes unchanged.  Anything else (a string, None, a complex number), a
+    NaN, an infinity or a value outside `kind`, a key of _RANGES, is a
+    ValueError that names the parameter."""
+    if isinstance(value, np.number):
+        value = value.item()
+    if not isinstance(value, (int, float, Fraction)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not _RANGES[kind](value):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
 
 
 def _check_seed(seed) -> int:
@@ -174,12 +203,14 @@ def laplace_sample(scale: float, uniform: float) -> float:
     """Inverse-CDF transform of a uniform into Lap(scale) centered at 0.
 
     x = -b * sgn(u - 1/2) * ln(1 - 2|u - 1/2|).  Exact at the median
-    (u=1/2 -> 0) and symmetric by construction.
+    (u=1/2 -> 0) and symmetric by construction.  Both are read by _real:
+    the uniform must lie in (0, 1) and the scale be positive.
     """
-    if not 0.0 < uniform < 1.0:
-        raise ValueError(f"uniform must lie strictly in (0,1), got {uniform}")
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    # a valid Python float skips _real, as this runs once per draw
+    if not (type(uniform) is float and 0.0 < uniform < 1.0):
+        uniform = _real("uniform", uniform, "in (0, 1)")
+    if not (type(scale) is float and 0.0 < scale < math.inf):
+        scale = _real("scale", scale)
     c = uniform - 0.5
     if c == 0.0:
         return 0.0
@@ -194,13 +225,14 @@ def _laplace_inplace(u: np.ndarray, out: np.ndarray, scales) -> None:
 
     ``scales`` lists (index, scale) pairs covering `out`; each slice of
     ``sgn(c)`` is multiplied by its own ``-scale`` before the product with
-    ``log1p(-2|c|)``, c = u - 1/2, the scalar path's operation order.  `u`
-    is overwritten.
+    ``log1p(-2|c|)``, c = u - 1/2, the scalar path's operation order.  A
+    scale is taken as a float, as laplace_sample's product takes a Fraction
+    scale.  `u` is overwritten.
     """
     u -= 0.5
     np.sign(u, out=out)
     for index, scale in scales:
-        out[index] *= -scale
+        out[index] *= -float(scale)
     np.abs(u, out=u)
     u *= -2.0
     np.log1p(u, out=u)
@@ -257,15 +289,13 @@ def concentration_threshold(scales, beta: float) -> float:
 
     The strictness of nu's inequality in the underlying concentration
     argument does not matter at the boundary (continuity, measure zero),
-    so the max is used exactly.
+    so the max is used exactly.  beta, in (0, 1), and each scale, positive,
+    are read by _real; no scale at all is a ValueError too.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0,1), got {beta}")
-    bs = list(scales)
+    beta = _real("beta", beta, "in (0, 1)")
+    bs = [_real("scale", b) for b in scales]
     if not bs:
         raise ValueError("scales must be nonempty")
-    if not all(0.0 < b < math.inf for b in bs):
-        raise ValueError("all scales must be positive and finite")
     log_term = math.log(2.0 / beta)
     nu = max(math.sqrt(plain_sum(b * b for b in bs)),
              max(bs) * math.sqrt(log_term))

@@ -41,8 +41,8 @@ import numpy as np
 # bench/spans.py traces decomposition_costs under this module's name
 from .dyadic import decomposition_costs  # noqa: F401
 from .mechanisms import (BaselineParams, MechanismParams, RecordingNoise,
-                         ReplayNoise, SeededNoise, _check_positive)
-from .noise import _integer, plain_sum
+                         ReplayNoise, SeededNoise, _check_input)
+from .noise import _integer, _real, plain_sum
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +434,12 @@ def coupling_shift(counter, ledger: dict, j: int, tau: int, y,
     t <= tau that includes input j sums exactly one of them, every other
     release none.  Shifting again by -y restores the ledger exactly.  Each
     key's budget per unit of shift is the inverse scale of its Laplace draw;
-    the cost is |y| times their sum, in the budgets' numeric type.
+    the cost is |y| times their sum, in the budgets' numeric type.  y is
+    read by _real and must lie in [-1, 1].
     """
     j = _integer("j", j, 1)
     tau = _integer("tau", tau, j)
-    if not abs(y) <= 1:
-        raise ValueError(f"|y| must be <= 1, got {y!r}")
+    y = _real("y", y, "in [-1, 1]")
     rule = counter.coupling_keys(params, j, tau)
     shifted = dict(ledger)
     for key, _ in rule:
@@ -455,11 +455,12 @@ def verify_coupling(counter, x, x_prime, j: int, tau: int, params,
     Runs `counter` (a counter class) on the stream x with seeded noise,
     records every draw, applies coupling_shift with y = x'_j - x_j, and
     replays x on the ledger and x_prime on the shifted one, in exact
-    rationals: "identical" means bit-identical, not within rounding.
+    rationals: "identical" means bit-identical, not within rounding.  Each
+    value of x and x_prime is read as step reads an input.
     """
     j = _integer("j", j, 1)
     tau = _integer("tau", tau, j)
-    x, x_prime = list(x), list(x_prime)
+    x, x_prime = ([_check_input(v) for v in xs] for xs in (x, x_prime))
     if len(x) != tau or len(x_prime) != tau:
         raise ValueError("both streams must have exactly tau entries")
     diffs = [i for i, (a, b) in enumerate(zip(x, x_prime), start=1) if a != b]
@@ -516,7 +517,7 @@ def lower_bound_check(T: int, C: int, epsilon: float,
     """
     C = _integer("C", C, 1)
     T = _integer("T", T, 2 * C + 1)
-    _check_positive(epsilon=epsilon)
+    epsilon = _real("epsilon", epsilon)
     log_term = math.log(T / (6.0 * C))
     env = curve.envelope_at(np.arange(2 * C))
     lhs = float(env.sum())

@@ -200,10 +200,12 @@ class TestLaplaceSample:
 
     def test_rejects_bad_scale(self):
         for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="^scale must be positive "
-                               f"and finite, got {bad}$"):
+            rule = "positive" if math.isfinite(bad) else "finite"
+            with pytest.raises(ValueError,
+                               match=f"^scale must be {rule}, got {bad}$"):
                 laplace_sample(bad, 0.3)
-            with pytest.raises(ValueError, match="^scale must be positive"):
+            with pytest.raises(ValueError,
+                               match=f"^scale must be {rule}, got {bad}$"):
                 laplace_sample_array(bad, np.array([0.3]))
 
     def test_array_lanes_leave_inputs_unchanged(self):
@@ -215,11 +217,11 @@ class TestLaplaceSample:
         assert np.array_equal(us, kept)
 
     @pytest.mark.parametrize("scale,u,message", [
-        (-1.0, 0.3, "scale must be positive and finite, got -1.0"),
-        (0.0, 0.3, "scale must be positive and finite, got 0.0"),
-        (1.0, 0.0, r"uniform must lie strictly in \(0,1\), got 0\.0"),
-        (1.0, 1.0, r"uniform must lie strictly in \(0,1\), got 1\.0"),
-        (1.0, math.nan, r"uniform must lie strictly in \(0,1\), got nan")])
+        (-1.0, 0.3, "scale must be positive, got -1.0"),
+        (0.0, 0.3, "scale must be positive, got 0.0"),
+        (1.0, 0.0, r"uniform must be in \(0, 1\), got 0\.0"),
+        (1.0, 1.0, r"uniform must be in \(0, 1\), got 1\.0"),
+        (1.0, math.nan, r"uniform must be finite, got nan")])
     def test_array_rejects_what_the_scalar_rejects(self, scale, u, message):
         for lane in (lambda v: laplace_sample(scale, v),
                      lambda v: laplace_sample_array(scale, np.array([0.5, v])),
@@ -298,8 +300,8 @@ class TestTailBounds:
         with pytest.raises(ValueError):
             concentration_threshold([1.0, -1.0], 0.1)
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="^all scales must be "
-                               "positive and finite$"):
+            with pytest.raises(ValueError,
+                               match=f"^scale must be finite, got {bad}$"):
                 concentration_threshold([1.0, bad], 0.1)
 
     def test_threshold_actually_concentrates(self):

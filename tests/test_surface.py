@@ -1,12 +1,15 @@
 """The package's public surface: every name in fadecount.__all__ resolves,
 the names that only the tests called stay deleted, only noise.py knows how
-a key becomes a draw, every integral parameter is read by one rule, and
-the CLI has one exit path and one output path."""
+a key becomes a draw, every integral parameter is read by one rule and
+every real parameter by another, and the CLI has one exit path and one
+output path."""
 
 import ast
 import inspect
 import math
 import pickle
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +22,13 @@ from fadecount import (BaselineCalibration, BaselineCounter, BaselineParams,
                        SimpleCounter, analytic_mse_baseline,
                        analytic_mse_expiration, baseline_loss_curve,
                        calibrate_baseline, calibrate_epsilon,
-                       closed_form_loss_bound, coupling_shift, decompose,
+                       closed_form_loss_bound, concentration_threshold,
+                       coupling_shift, decompose,
                        empirical_loss_baseline, empirical_loss_curve,
                        empirical_loss_expiration, error_bound_expiration,
                        exact_loss_bound, floor_log2, keyed_noise,
-                       lower_bound_check, optimal_ratio, popcount_total,
+                       laplace_sample, lower_bound_check, optimal_ratio,
+                       popcount_total,
                        published_loss_bound, run_expiration,
                        simple_loss_curve, verify_coupling)
 from fadecount import calibration, cli, dyadic, mechanisms, noise
@@ -59,7 +64,10 @@ def test_every_exported_name_resolves():
 
 def test_deleted_names_stay_gone():
     for module, name in ((mechanisms, "ZeroNoise"), (mechanisms, "run_simple"),
-                         (dyadic, "intersect")):
+                         (dyadic, "intersect"),
+                         # the real-parameter checks that noise._real replaced
+                         (mechanisms, "_check_finite"),
+                         (mechanisms, "_check_positive")):
         assert not hasattr(module, name)
         assert not hasattr(fadecount, name) and name not in fadecount.__all__
     # a DyadicInterval is a plain tuple again: `in` tests (level, index)
@@ -336,3 +344,179 @@ def test_reader_names_the_parameter(low, kind):
             continue
         with pytest.raises(ValueError, match=f"^x must be {kind}, got "):
             noise._integer("x", bad, low)
+
+
+# ---------------------------------------------------------------------------
+# one real rule: every real parameter is read by value, a numpy number as
+# its Python value, and a value of another type, a NaN, an infinity or one
+# out of range is a ValueError naming it
+
+CURVE = empirical_loss_curve(P, GRID, 40)
+
+# (entry, parameter, a value of it exact in float16, the entry called with a
+# value in its place)
+REAL_ROWS = [
+    ("MechanismParams", "epsilon", 0.5,
+     lambda v: expiration_uses(MechanismParams(v, 1.0, 2))),
+    ("MechanismParams", "level_exponent", 1.5,
+     lambda v: expiration_uses(MechanismParams(1.0, v, 2))),
+    ("BaselineParams", "eps_cur", 1.5,
+     lambda v: baseline_uses(BaselineParams(7, v, 0.5))),
+    ("BaselineParams", "eps_past", 0.25,
+     lambda v: baseline_uses(BaselineParams(7, 1.0, v))),
+    ("CalibrationResult", "epsilon", 0.5,
+     lambda v: CalibrationResult(v, 2.0, 40, 2.0)),
+    ("CalibrationResult", "achieved_mse", 2.0,
+     lambda v: CalibrationResult(0.5, v, 40, 2.0)),
+    ("CalibrationResult", "target_mse", 2.0,
+     lambda v: CalibrationResult(0.5, 2.0, 40, v)),
+    ("BaselineCalibration", "eps_cur", 0.5,
+     lambda v: BaselineCalibration(v, 0.125, 2.0, 40, 2.0)),
+    ("BaselineCalibration", "eps_past", 0.125,
+     lambda v: BaselineCalibration(0.5, v, 2.0, 40, 2.0)),
+    ("BaselineCalibration", "achieved_mse", 2.0,
+     lambda v: BaselineCalibration(0.5, 0.125, v, 40, 2.0)),
+    ("BaselineCalibration", "target_mse", 2.0,
+     lambda v: BaselineCalibration(0.5, 0.125, 2.0, 40, v)),
+    ("calibrate_epsilon", "target_mse", 2.0,
+     lambda v: calibrate_epsilon(v, 40)),
+    ("calibrate_epsilon", "level_exponent", 1.5,
+     lambda v: calibrate_epsilon(2.0, 40, v)),
+    ("calibrate_baseline", "target_mse", 2.0,
+     lambda v: calibrate_baseline(v, 40, 7, 0.5)),
+    ("calibrate_baseline", "ratio", 0.25,
+     lambda v: calibrate_baseline(2.0, 40, 7, v)),
+    ("optimal_ratio", "target_mse", 2.0, lambda v: optimal_ratio(v, 40, 7)),
+    ("error_bound_expiration", "beta", 0.125,
+     lambda v: error_bound_expiration(9, v, P)),
+    ("concentration_threshold", "beta", 0.125,
+     lambda v: concentration_threshold([1.0, 0.5], v)),
+    ("concentration_threshold", "scales", 0.5,
+     lambda v: concentration_threshold([1.0, v], 0.125)),
+    ("keyed_noise", "scale", 0.5, lambda v: keyed_noise(5, (1, 2), v)),
+    ("laplace_sample", "scale", 0.5, lambda v: laplace_sample(v, 0.25)),
+    ("laplace_sample", "uniform", 0.25, lambda v: laplace_sample(0.5, v)),
+    ("SeededNoise.draw", "scale", 0.5,
+     lambda v: SeededNoise(3).draw((1, 2), v)),
+    ("RecordingNoise.draw", "scale", 0.5,
+     lambda v: RecordingNoise(SeededNoise(3)).draw((1, 2), v)),
+    ("lower_bound_check", "epsilon", 1.5,
+     lambda v: lower_bound_check(40, 2, v, CURVE)),
+    ("coupling_shift", "y", -0.5,
+     lambda v: coupling_shift(ExpirationCounter, ledger(), 3, 6, v, P)),
+    # the array lane the public entries draw through
+    ("laplace_sample_array", "scale", 0.5,
+     lambda v: noise.laplace_sample_array(v, np.array([0.25, 0.5, 0.75]))),
+]
+# the parameter names a real parameter of a public entry has
+REAL_NAMES = {"epsilon", "level_exponent", "eps_cur", "eps_past",
+              "target_mse", "achieved_mse", "ratio", "beta", "scales",
+              "scale", "uniform", "y"}
+# ReplayNoise.draw returns its ledger's value and draws nothing: the scale
+# it is handed is never read
+UNREAD = {("ReplayNoise.draw", "scale")}
+# a string, None, a complex number, NaN, infinities, and -2, outside every
+# kind's range
+NON_REALS = ("0.5", None, 1j, math.nan, math.inf, -math.inf, -2.0)
+
+
+@pytest.mark.parametrize("entry,param,value,call", REAL_ROWS,
+                         ids=[f"{e}-{p}" for e, p, *_ in REAL_ROWS])
+def test_real_values_read_by_value(entry, param, value, call):
+    assert np.float16(value) == value
+    results = {pickle.dumps(call(t(value)))
+               for t in (float, np.float64, np.float32, np.float16)}
+    assert len(results) == 1
+    name = {"scales": "scale"}.get(param, param)
+    for bad in NON_REALS:
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(bad)
+
+
+def test_every_real_parameter_has_a_row():
+    rows = {(entry, param) for entry, param, *_ in REAL_ROWS}
+    assert REAL_NAMES <= {param for _entry, param in rows}
+    missing = [(entry, param) for entry, sig in public_signatures()
+               for param in sig.parameters
+               if param in REAL_NAMES and (entry, param) not in rows | UNREAD]
+    assert not missing
+
+
+@pytest.mark.parametrize("kind,good,bad", [
+    ("positive", (3, Fraction(1, 3), 0.5, True), (0, 0.0, -1)),
+    ("nonnegative", (0, Fraction(0), 0.0, 7), (-1, Fraction(-1, 3))),
+    ("in (0, 1)", (Fraction(1, 3), 0.5), (0, 1, 1.0, Fraction(4, 3))),
+    ("in [-1, 1]", (-1, Fraction(-1, 3), 0.0, 1.0), (-1.5, Fraction(4, 3)))])
+def test_real_reader_names_the_parameter(kind, good, bad):
+    # Python numbers pass unchanged, Fractions stay exact
+    for value in good:
+        got = noise._real("x", value, kind)
+        assert got == value and type(got) is type(value)
+    # numpy numbers become Python ones, exactly
+    for value in (np.float32(0.3), np.float16(0.5), np.float64(0.75)):
+        got = noise._real("x", value, kind)
+        assert got == value and type(got) is float
+    if kind != "in (0, 1)":     # which holds no integer
+        assert type(noise._real("x", np.uint8(1), kind)) is int
+    for value in bad:
+        with pytest.raises(ValueError,
+                           match=rf"^x must be {re.escape(kind)}, got "):
+            noise._real("x", value, kind)
+    for value, rule in (("0.5", "a real number"), (None, "a real number"),
+                        (1j, "a real number"), (np.complex64(0.5), "a real "
+                        "number"), (np.longdouble(0.5), "a real number"),
+                        (math.nan, "finite"), (-math.inf, "finite")):
+        with pytest.raises(ValueError, match=rf"^x must be {rule}, got "):
+            noise._real("x", value, kind)
+
+
+def test_a_float32_target_mse_hits_its_target():
+    # the relative error was computed in float32 and read 6.1e-08
+    got = calibrate_epsilon(np.float32(1000.0), 100)
+    assert got == calibrate_epsilon(1000.0, 100)
+    assert type(got.target_mse) is float
+
+
+def test_a_float32_scale_draws_the_array_lanes_value():
+    # keyed_noise returned a float32 where the array lane gave a float64
+    got = keyed_noise(3, (1, 2), np.float32(0.3))
+    lane = noise.laplace_sample_array(
+        np.float32(0.3), noise.prf_uniform_array(3, (1,), np.array([2])))
+    assert type(got) is float and got == lane[0]
+
+
+def test_step_equals_the_runners_for_a_float32_budget():
+    # step drew at float32 scales and the runners at float64 ones: they
+    # disagreed in 297 of 300 releases (expiration), 300 of 300 (baseline)
+    xs = np.random.default_rng(7).random(300)
+    params = MechanismParams(np.float32(0.3), 2.0, 3)
+    counter = ExpirationCounter(params, SeededNoise(5))
+    stepped = [counter.step(x) for x in xs]
+    assert run_expiration(params, xs, 5).tolist() == stepped
+    assert stepped == run_expiration(
+        MechanismParams(float(np.float32(0.3)), 2.0, 3), xs, 5).tolist()
+    params = BaselineParams(7, np.float32(0.6), np.float32(0.06))
+    counter = BaselineCounter(params, SeededNoise(5))
+    got = np.concatenate(list(mechanisms.baseline_releases(params, xs, 5, 64)))
+    assert got.tolist() == [counter.step(x) for x in xs]
+
+
+def test_fraction_budgets_run_on_the_baseline_runner():
+    # the array lane multiplied by -Fraction and raised UFuncTypeError
+    params = BaselineParams(7, Fraction(3, 5), Fraction(3, 50))
+    xs = np.random.default_rng(8).random(100)
+    counter = BaselineCounter(params, SeededNoise(2))
+    stepped = [counter.step(x) for x in xs]
+    got = np.concatenate(list(mechanisms.baseline_releases(params, xs, 2, 16)))
+    assert got.tolist() == stepped
+    us = np.array([0.25, 0.5, 0.75])
+    assert noise.laplace_sample_array(Fraction(1, 3), us).tolist() == [
+        laplace_sample(Fraction(1, 3), u) for u in us]
+
+
+def test_float32_streams_verify_as_float_streams():
+    # Fraction(np.float32(...)) raised a bare TypeError
+    x32, x32_prime = np.float32(X6), np.float32(X6_PRIME)
+    for counter, params in ((ExpirationCounter, P), (BaselineCounter, B)):
+        assert verify_coupling(counter, x32, x32_prime, 3, 6, params, 1) == \
+            verify_coupling(counter, X6, X6_PRIME, 3, 6, params, 1)
