@@ -133,9 +133,11 @@ def calibrate_baseline(target_mse: float, T: int, window: int,
     """Find (eps_cur, eps_past = ratio * eps_cur) hitting target_mse."""
     target_mse, ratio = _real("target_mse", target_mse), _real("ratio", ratio)
     # at unit eps_cur the past draws' variance is a sum over ratio^2, which
-    # has no float value once ratio^2 underflows to 0 or the sum overflows
+    # has no float value once the float of ratio^2, which the sum is divided
+    # by, underflows to 0 (a Fraction's exact square may not), or once the
+    # sum overflows
     unit = (analytic_mse_baseline(BaselineParams(window, 1.0, ratio), T)
-            if ratio * ratio > 0 else math.inf)
+            if float(ratio * ratio) > 0 else math.inf)
     if unit == math.inf:
         raise ValueError(f"ratio is too small for a finite past-draw "
                          f"variance, got {ratio!r}")

@@ -34,9 +34,11 @@ Counters are deliberately generic over the numeric type of the inputs and of
 the noise values handed to them: run them with floats for production, or
 with exact rationals (``fractions.Fraction``) when replaying a run whose
 outputs must be compared bit-for-bit.  Nothing in the update path forces a
-float coercion; only numpy floating inputs, and numpy numbers given as
-parameters (read by noise._real and noise._integer), are turned into Python
-numbers, which is exact.
+float coercion.  Every stream value is read by noise._real, as a real
+parameter is, and every parameter by noise._real or noise._integer: a
+numpy bool, integer or float becomes its Python value, exactly, so a
+stream of any numeric dtype is summed in Python numbers, as the runners
+sum it in float64.
 """
 
 from __future__ import annotations
@@ -63,10 +65,11 @@ DOMAIN_PAST = 4       # (DOMAIN_PAST, round)                    baseline past
 def _check_scale(name: str, given: str, compute, *args):
     """Reject a noise scale or budget compute(*args) that is not a positive
     finite float, by name, with the parameters it is computed from
-    (ValueError); an OverflowError computing it counts as infinite."""
+    (ValueError); an OverflowError computing it counts as infinite, and so
+    does a ZeroDivisionError (a Fraction budget that rounds to 0.0)."""
     try:
         value = compute(*args)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be a positive finite float, got "
@@ -212,15 +215,13 @@ class ReplayNoise:
 
 
 def _check_input(x):
-    """x, checked to lie in [0,1]; numpy floats become Python floats.
-
-    The conversion is exact, and keeps a float32 stream from dragging the
-    prefix sums (and so the releases) down to float32.  Other types,
-    Fraction included, pass through unchanged.
-    """
-    if not 0 <= x <= 1:
-        raise ValueError(f"stream values must lie in [0,1], got {x!r}")
-    return float(x) if isinstance(x, np.floating) else x
+    """x as noise._real reads a stream value, which lies in [0, 1]: a
+    numpy bool, integer or float becomes its Python value, so neither a
+    float32 nor a uint8 stream drags step's sums into numpy arithmetic, and
+    an int, a float or a Fraction passes unchanged.  A Python float in
+    [0, 1] skips the reader: one type test per step."""
+    return x if type(x) is float and 0.0 <= x <= 1.0 else _real(
+        "stream value", x, "in [0, 1]")
 
 
 class _LaggedCounter:
@@ -528,12 +529,22 @@ def running_sums(xs: np.ndarray, carry, out: np.ndarray):
 
 def _check_stream(xs: np.ndarray, seed: int, block: int) -> tuple[int, int]:
     """Reject a block size that is not a positive integer, then a seed
-    outside [0, 2^64) or a value of xs outside [0,1], by step's messages
-    (ValueError); return (seed, block) as Python ints."""
+    outside [0, 2^64), then the first value of xs that step rejects, by
+    step's messages (ValueError); return (seed, block) as Python ints.
+
+    An array of bools, integers or floats up to float64 is plain: its
+    minimum and maximum are tested, and only if that fails are its NaNs and
+    values outside [0, 1] read by _check_input.  Any other array (strings,
+    bytes, complex numbers, datetimes, long doubles, objects) has each
+    value read by it, so a non-number is named before numpy compares it.
+    """
     block = _integer("block", block, 1)
     seed = _check_seed(seed)
-    if len(xs) and not (xs.min() >= 0 and xs.max() <= 1):  # NaN fails too
-        _check_input(float(xs[~((xs >= 0) & (xs <= 1))][0]))
+    plain = xs.dtype.kind in "biuf" and xs.dtype.itemsize <= 8
+    if not plain or len(xs) and not (xs.min() >= 0 and xs.max() <= 1):
+        # a NaN fails the test too; the first value read that fails raises
+        for x in xs[~((xs >= 0) & (xs <= 1))] if plain else xs:
+            _check_input(x)
     return seed, block
 
 
@@ -543,8 +554,8 @@ def lagged_releases(counter, params, xs: np.ndarray, seed: int, block: int):
     step lag, then at step t the prefix through position t - lag plus that
     position's noise.  A block draws only its positions' noise.  A block
     size that is not a positive integer is a ValueError, and so are a seed
-    outside [0, 2^64) or a value of xs outside [0,1], as in step; all are
-    raised before the first block."""
+    outside [0, 2^64) and a value of xs that step rejects, with step's
+    message; all are raised before the first block."""
     seed, block = _check_stream(xs, seed, block)
     lag, schedule = counter.lag(params), counter.schedule(params)
     prefix = 0.0

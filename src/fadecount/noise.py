@@ -24,10 +24,12 @@ type, and name the parameter in the ValueError for a value they reject.
 _integer reads an integral one (a seed, a delay, a window, a horizon, ...)
 and rejects a value that is no integer or is too small; grids of d are
 read by privacy_audit._grid, by the same rule.  _real reads a real one (a
-budget, a level exponent, a scale, a target MSE, ...) as step reads an
-input: numpy numbers become Python numbers, and ints, floats and Fractions
-pass unchanged.  It rejects any other type, a NaN, an infinity and a value
-outside the parameter's range.
+budget, a level exponent, a scale, a target MSE, ...) and every stream
+value a counter, a runner or the coupling verifier takes: numpy bools,
+integers and floats become Python numbers, and ints, floats and Fractions
+pass unchanged.  It rejects any other type, a value that is not finite (a NaN,
+an infinity, or one past the float range) and a value outside the
+parameter's range.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ _INV_2_52 = 1.0 / (1 << 52)
 # of 2), leaving exactly (m + 0.5) * 2^-52
 _ONE_BITS = np.uint64(0x3FF0000000000000)
 _ONE_MINUS_HALF_STEP = 1.0 - 0.5 * _INV_2_52
+# the largest float, as an int: a float, an int and a Fraction each compare
+# with it exactly, and a Fraction faster than with the float
+_FLOAT_MAX = int(np.finfo(np.float64).max)
 
 
 def _mix64(h: int) -> int:
@@ -85,22 +90,24 @@ def _integer(name: str, value, low=0) -> int:
 
 
 # _real's kinds, each with the test a value of that kind passes
-_RANGES = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0,
-           "in (0, 1)": lambda v: 0 < v < 1,
+_RANGES = {"positive": lambda v: v > 0, "in (0, 1)": lambda v: 0 < v < 1,
+           "nonnegative": lambda v: v >= 0, "in [0, 1]": lambda v: 0 <= v <= 1,
            "in [-1, 1]": lambda v: -1 <= v <= 1}
 
 
 def _real(name: str, value, kind: str = "positive"):
-    """value as a Python number: a numpy number becomes its Python value,
-    exactly (a long double, which has none, stays and is rejected), and an
-    int, a float or a Fraction passes unchanged.  Anything else (a string, None, a complex number), a
-    NaN, an infinity or a value outside `kind`, a key of _RANGES, is a
-    ValueError that names the parameter."""
-    if isinstance(value, np.number):
+    """value as a Python number: a numpy bool, integer or float becomes its
+    Python value, exactly (a long double, which has none, stays), and an
+    int, a float or a Fraction passes unchanged (a bool is an int).
+    Anything else (a string, None, a complex number, a numpy timedelta, a
+    long double), a NaN, an infinity, a value past the float range, which
+    float math cannot take, or a value outside `kind`, a key of _RANGES, is
+    a ValueError that names the parameter."""
+    if isinstance(value, np.generic) and value.dtype.kind in "biuf":
         value = value.item()
     if not isinstance(value, (int, float, Fraction)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if not abs(value) <= _FLOAT_MAX:    # NaN fails too
         raise ValueError(f"{name} must be finite, got {value!r}")
     if not _RANGES[kind](value):
         raise ValueError(f"{name} must be {kind}, got {value!r}")
@@ -290,10 +297,11 @@ def concentration_threshold(scales, beta: float) -> float:
     The strictness of nu's inequality in the underlying concentration
     argument does not matter at the boundary (continuity, measure zero),
     so the max is used exactly.  beta, in (0, 1), and each scale, positive,
-    are read by _real; no scale at all is a ValueError too.
+    are read by _real, and each scale is taken as the float the formula
+    works in; no scale at all is a ValueError too.
     """
     beta = _real("beta", beta, "in (0, 1)")
-    bs = [_real("scale", b) for b in scales]
+    bs = [float(_real("scale", b)) for b in scales]
     if not bs:
         raise ValueError("scales must be nonempty")
     log_term = math.log(2.0 / beta)

@@ -466,18 +466,18 @@ def verify_coupling(counter, x, x_prime, j: int, tau: int, params,
     diffs = [i for i, (a, b) in enumerate(zip(x, x_prime), start=1) if a != b]
     if diffs not in ([], [j]):
         raise ValueError(f"streams differ at positions {diffs}, expected only {j}")
+
+    def released(xs, noise):    # the releases of a fresh run on noise
+        return list(map(counter(params, noise).step, xs))
+
     recorder = RecordingNoise(SeededNoise(seed))
-    run = counter(params, recorder)
-    for v in x:
-        run.step(v)
+    released(x, recorder)
     ledger = {k: Fraction(v) for k, v in recorder.ledger.items()}
-    y = Fraction(x_prime[j - 1]) - Fraction(x[j - 1])
-    shifted, report = coupling_shift(counter, ledger, j, tau, y, params)
-    outputs = []
-    for xs, draws in ((x, ledger), (x_prime, shifted)):
-        run = counter(params, ReplayNoise(draws))
-        outputs.append([run.step(Fraction(v)) for v in xs])
-    report.outputs_identical = outputs[0] == outputs[1]
+    x, x_prime = ([Fraction(v) for v in xs] for xs in (x, x_prime))
+    shifted, report = coupling_shift(counter, ledger, j, tau,
+                                     x_prime[j - 1] - x[j - 1], params)
+    report.outputs_identical = (released(x, ReplayNoise(ledger))
+                                == released(x_prime, ReplayNoise(shifted)))
     return report
 
 

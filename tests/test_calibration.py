@@ -2,6 +2,7 @@ import pathlib
 import subprocess
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,6 +196,13 @@ class TestCalibrateBaseline:
     def test_result_type(self):
         cal = calibrate_baseline(1000.0, 10**3, 31, 0.1)
         assert isinstance(cal, BaselineCalibration)
+
+    def test_fraction_ratio_whose_square_has_no_float(self):
+        # ratio^2 is positive as a Fraction, but the past-draw variance
+        # divides by its float, 0.0, and raised a bare ZeroDivisionError
+        with pytest.raises(ValueError, match="^ratio is too small for a "
+                           "finite past-draw variance, got Fraction"):
+            calibrate_baseline(2.0, 40, 7, Fraction(1, 10**200))
 
 
 class TestOptimalRatio:

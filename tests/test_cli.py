@@ -25,6 +25,12 @@ from fadecount.privacy_audit import (empirical_loss_baseline,
                                      published_loss_bound)
 from noise_oracles import step_loop_run
 
+# a child `python -m fadecount.cli` imports the package this process tests,
+# from the same directory, whether or not one is installed
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(cli.__file__)),
+    os.environ.get("PYTHONPATH")]))}
+
 
 def read_csv(path):
     with open(path) as fh:
@@ -994,7 +1000,8 @@ class TestParserCache:
                 rc = exc.code
             res = subprocess.run(
                 [sys.executable, "-m", "fadecount.cli", *argv,
-                 "--output", str(fresh)], capture_output=True, text=True)
+                 "--output", str(fresh)], capture_output=True, text=True,
+                env=CHILD_ENV)
             assert rc == res.returncode == (2 if i == 0 else 0)
             if i == 0:
                 assert not here.exists() and not fresh.exists()
@@ -1007,6 +1014,6 @@ class TestEntryPoint:
         res = subprocess.run(
             [sys.executable, "-m", "fadecount.cli", "calibrate",
              "--mse", "1000", "--t-max", "1000"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CHILD_ENV)
         assert res.returncode == 0
         assert "epsilon = 0.1341" in res.stdout

@@ -110,6 +110,16 @@ class TestParams:
             with pytest.raises(ValueError, match="^eps_past must be finite"):
                 BaselineParams(8, 1.0, bad)
 
+    def test_fraction_budget_below_the_floats_is_named(self):
+        # its float is 0.0, and the scales raised a bare ZeroDivisionError
+        tiny = Fraction(1, 10**400)
+        with pytest.raises(ValueError, match=r"^level_scale\(0\) must be a "
+                           r"positive finite float, got inf \(epsilon "):
+            MechanismParams(tiny)
+        with pytest.raises(ValueError, match=r"^1/eps_past must be a positive "
+                           r"finite float, got inf \(eps_past "):
+            BaselineParams(7, 1.0, tiny)
+
     def test_tree_depth(self):
         assert BaselineParams(1, 1.0, 1.0).tree_depth == 1
         assert BaselineParams(7, 1.0, 1.0).tree_depth == 3
@@ -208,7 +218,8 @@ class TestInputValidation:
         at = data.draw(st.integers(0, len(good)))
         xs = np.array(good[:at] + [bad] + good[at:])
         params = MechanismParams(0.8, 1.0, 2)
-        message = "^" + re.escape(f"stream values must lie in [0,1], got "
+        rule = "in [0, 1]" if math.isfinite(bad) else "finite"
+        message = "^" + re.escape(f"stream value must be {rule}, got "
                                   f"{bad!r}") + "$"
         with pytest.raises(ValueError, match=message):
             ExpirationCounter(params, SeededNoise(1)).step(bad)
@@ -651,8 +662,9 @@ class TestBaselineReleases:
         xs = np.full(100, 0.5)
         xs[-1] = bad
         blocks = baseline_releases(BaselineParams(7, 0.7, 0.07), xs, 3, 4)
+        rule = "in [0, 1]" if math.isfinite(bad) else "finite"
         with pytest.raises(ValueError, match="^" + re.escape(
-                f"stream values must lie in [0,1], got {bad!r}") + "$"):
+                f"stream value must be {rule}, got {bad!r}") + "$"):
             next(blocks)
 
     def test_memory_is_one_block_plus_the_output(self):

@@ -304,6 +304,15 @@ class TestTailBounds:
                                match=f"^scale must be finite, got {bad}$"):
                 concentration_threshold([1.0, bad], 0.1)
 
+    def test_threshold_reads_scales_as_floats(self):
+        # an int scale was squared and summed exactly, and math.sqrt of the
+        # sum raised a bare OverflowError
+        assert concentration_threshold([3, 10**200], 0.1) == \
+            concentration_threshold([3.0, 1e200], 0.1)
+        with pytest.raises(ValueError,
+                           match=f"^scale must be finite, got {10**400}$"):
+            concentration_threshold([1.0, 10**400], 0.1)
+
     def test_threshold_actually_concentrates(self):
         # empirical check that P[|sum| > threshold] is small at beta=0.05
         beta = 0.05

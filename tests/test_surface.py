@@ -520,3 +520,112 @@ def test_float32_streams_verify_as_float_streams():
     for counter, params in ((ExpirationCounter, P), (BaselineCounter, B)):
         assert verify_coupling(counter, x32, x32_prime, 3, 6, params, 1) == \
             verify_coupling(counter, X6, X6_PRIME, 3, 6, params, 1)
+
+
+# ---------------------------------------------------------------------------
+# one stream rule: every stream value is read as a real parameter is, in
+# [0, 1], so a stream of any numeric type releases what the runners release,
+# and a non-number, NaN, infinity or value outside [0, 1] is a ValueError
+# naming it
+
+BITS = [float(i * 5 % 7 < 3) for i in range(40)]   # 0/1, BITS[2] != BITS[3]
+
+
+def coupled(x, x_prime):
+    """verify_coupling's reports for both counters on a pair differing at
+    position 3."""
+    return [verify_coupling(counter, x, x_prime, 3, 6, params, 1)
+            for counter, params in ((ExpirationCounter, P),
+                                    (BaselineCounter, B))]
+
+
+def neighbor(xs):
+    """xs[:6] with position 3 changed, to BITS[3]'s value in xs's type."""
+    return xs[:2] + xs[3:4] + xs[3:6]
+
+
+def stepped(counter, xs):
+    return [counter.step(x) for x in xs]
+
+
+def released(blocks):
+    return np.concatenate(list(blocks)).tolist()
+
+
+# (entry, parameter, the entry called with a stream: a list of values, as
+# an array where the entry takes one)
+STREAM_ROWS = [
+    ("SimpleCounter.step", "x",
+     lambda xs: stepped(SimpleCounter(P, SeededNoise(1)), xs)),
+    ("ExpirationCounter.step", "x",
+     lambda xs: stepped(ExpirationCounter(P, SeededNoise(1)), xs)),
+    ("BaselineCounter.step", "x",
+     lambda xs: stepped(BaselineCounter(B, SeededNoise(1)), xs)),
+    ("lagged_releases", "xs", lambda xs: released(mechanisms.lagged_releases(
+        ExpirationCounter, P, np.array(xs), 1, 16))),
+    ("baseline_releases", "xs", lambda xs: released(
+        mechanisms.baseline_releases(B, np.array(xs), 1, 16))),
+    ("run_expiration", "xs",
+     lambda xs: run_expiration(P, np.array(xs), 1).tolist()),
+    ("verify_coupling", "x", lambda xs: coupled(xs[:6], neighbor(xs))),
+    ("verify_coupling", "x_prime",
+     lambda xs: coupled(BITS[:6], neighbor(xs))),
+]
+# the parameter names a stream parameter of a public entry has
+STREAM_NAMES = {"x", "xs", "x_prime"}
+# a string, None, a complex number, NaN, infinities, and values either side
+# of [0, 1]
+NON_STREAM_VALUES = ("0.5", None, 1j, math.nan, math.inf, -math.inf, -0.5,
+                     1.5)
+
+
+@pytest.mark.parametrize("entry,param,call", STREAM_ROWS,
+                         ids=[f"{e}-{p}" for e, p, _ in STREAM_ROWS])
+def test_stream_values_read_by_value(entry, param, call):
+    results = {pickle.dumps(call([t(b) for b in BITS]))
+               for t in (float, np.float64, np.float32, np.uint8, np.int64,
+                         bool, np.bool_)}
+    assert len(results) == 1
+    # one bad value, at position 2, in a float stream
+    for bad in NON_STREAM_VALUES:
+        with pytest.raises(ValueError, match="^stream value must be "):
+            call(BITS[:1] + [bad] + BITS[2:])
+
+
+def test_every_stream_parameter_has_a_row():
+    rows = {(entry, param) for entry, param, _ in STREAM_ROWS}
+    assert STREAM_NAMES == {param for _entry, param in rows}
+    missing = [(entry, param) for entry, sig in public_signatures()
+               for param in sig.parameters
+               if param in STREAM_NAMES and (entry, param) not in rows]
+    assert not missing
+
+
+def test_a_uint8_stream_releases_the_runners_values():
+    # step summed np.uint8 inputs in uint8: its prefix wrapped to 0 at the
+    # 256th one, and every release from there on left the runners' values
+    xs = np.random.default_rng(4).integers(0, 2, 600, dtype=np.uint8)
+    counter = ExpirationCounter(P, SeededNoise(3))
+    stepped_releases = [counter.step(x) for x in xs]
+    assert stepped_releases == run_expiration(P, xs, 3).tolist()
+    assert stepped_releases == run_expiration(P, xs.astype(float), 3).tolist()
+    counter = BaselineCounter(B, SeededNoise(3))
+    assert [counter.step(x) for x in xs] == released(
+        mechanisms.baseline_releases(B, xs, 3, 64))
+
+
+@pytest.mark.parametrize("xs,shown", [
+    (np.array(["2024-01-01"], dtype="datetime64[D]"), "np.datetime64("),
+    (np.array([1], dtype="timedelta64[ns]"), "np.timedelta64("),
+    (np.array([b"1"]), "np.bytes_("),
+    (np.array([0.5], dtype=np.longdouble), "np.longdouble("),
+    (np.array([0.5, Fraction(1, 3), "1"], dtype=object), "'1'")])
+def test_runners_name_a_non_number_before_comparing(xs, shown):
+    # the runners raised numpy's UFuncTypeError for dates and bytes and a
+    # bare TypeError for the object array, and released a timedelta as its
+    # count of nanoseconds and a long double rounded to float64
+    for run in (lambda: run_expiration(P, xs, 1),
+                lambda: list(mechanisms.baseline_releases(B, xs, 1, 4))):
+        with pytest.raises(ValueError, match="^stream value must be a real "
+                           f"number, got {re.escape(shown)}"):
+            run()
